@@ -7,9 +7,9 @@ package ses
 // (see internal/exp and EXPERIMENTS.md); cmd/sesbench sweeps the full
 // parameter grids and prints the figure-shaped tables.
 //
-// Ablation benchmarks at the bottom isolate the design choices DESIGN.md
-// calls out: the Φ bound's sensitivity to the interest distribution, the
-// per-interval denominator cache, and the cost of the horizontal worst case.
+// Ablation benchmarks at the bottom isolate three design choices: the Φ
+// bound's sensitivity to the interest distribution, the per-interval
+// denominator cache, and the cost of the horizontal worst case.
 
 import (
 	"context"

@@ -22,7 +22,7 @@ func main() {
 	fmt.Println("=== Figure 2: ALG on the running example (k = 3) ===")
 	fmt.Println("(selected assignment bracketed; * = score updated before this step;")
 	fmt.Println(" - = event already scheduled; x = infeasible. The paper prints")
-	fmt.Println(" α(e1,t2) = 0.34 in row 2 — Eq. 4 gives 0.13; see DESIGN.md erratum.)")
+	fmt.Println(" α(e1,t2) = 0.34 in row 2 — Eq. 4 gives 0.13; see README \"Deviations from the paper\".)")
 	fmt.Println()
 	ta, err := trace.ALG(inst, 3)
 	if err != nil {

@@ -12,22 +12,19 @@ import (
 	"repro/internal/seio"
 )
 
-// Kernelbench measures the Eq. 4 kernel variants in isolation: one full-range
+// Kernelbench measures the two Eq. 4 kernels in isolation: one full-range
 // scoring pass per measurement, pinned to each of the four denominator cases
 // (FREE: no competing interest and nothing assigned, COMP: competing only,
 // ASSIGNED: assigned only, FULL: both), at 1%, 5% and 100% interest density.
-// Exact dense variants (scalar, blocked) run every user; the sparse variant
+// The scalar kernel runs every user of the dense build; the sparse kernel
 // runs the same problem through its nonzero lists, so its per-pass work — the
-// "work" column, nonzeros instead of |U| — shrinks with density. The simd
-// variant joins automatically in `-tags sessimd` builds.
+// "work" column, nonzeros instead of |U| — shrinks with density.
 //
 // Output is the sesbench row vocabulary (-json → {"rows": [...]}), so
 // cmd/benchdiff compares runs exactly like the solver benchmarks: Utility
-// carries the measured pass's gain (bit-stable for exact variants — the
-// drift gate), ScoreEvals the rep count, and Elapsed the series wall time.
-// CI keeps a baseline in bench/baseline/kernel/ generated WITHOUT the sessimd
-// tag, which is what keeps the inexact simd variant outside the utility-drift
-// and wall-time gates: its rows simply never enter the baseline.
+// carries the measured pass's gain (bit-stable, and equal across the two
+// kernels — the drift gate), ScoreEvals the rep count, and Elapsed the
+// series wall time. CI keeps a baseline in bench/baseline/kernel/.
 func Kernelbench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("kernelbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -56,7 +53,7 @@ func Kernelbench(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	fmt.Fprintf(stdout, "%-8s %-9s %12s %8s %6s %12s %10s\n",
-		"variant", "case", "density_pct", "work", "reps", "total(ms)", "ns/term")
+		"kernel", "case", "density_pct", "work", "reps", "total(ms)", "ns/term")
 	for _, r := range rows {
 		work := int64(r.Users)
 		terms := r.ScoreEvals * work
@@ -83,7 +80,7 @@ var kernelCases = []kernelCase{
 }
 
 // benchKernels builds one dense+sparse instance pair at the given density
-// and times every available kernel variant through all four cases.
+// and times both kernels through all four cases.
 func benchKernels(seed uint64, nU, pct int, budget int64, maxReps int) ([]exp.Row, error) {
 	dense, err := kernelbenchInstance(seed, nU, pct, core.RepDense)
 	if err != nil {
@@ -94,41 +91,24 @@ func benchKernels(seed uint64, nU, pct int, budget int64, maxReps int) ([]exp.Ro
 		return nil, err
 	}
 
-	type variant struct {
-		name string
-		inst *core.Instance
-		sel  string
-	}
-	variants := []variant{
-		{core.KernelScalar, dense, core.KernelScalar},
-		{core.KernelBlocked, dense, core.KernelBlocked},
-		{core.KernelSparse, sparse, core.KernelAuto},
-	}
-	if core.CheckKernel(core.KernelSIMD) == nil {
-		variants = append(variants, variant{core.KernelSIMD, dense, core.KernelSIMD})
-	}
-
 	var rows []exp.Row
-	for _, v := range variants {
-		sc, err := core.NewScorerWithOptions(v.inst, core.ScorerOptions{Kernel: v.sel})
-		if err != nil {
-			return nil, err
-		}
+	for _, inst := range []*core.Instance{dense, sparse} {
+		sc := core.NewScorer(inst)
 		// Events 1 and 2 fill the case contexts; event 0 stays the measured
 		// candidate. Interval 0 carries all competing events, interval 1 none.
-		full := core.NewSchedule(v.inst)
+		full := core.NewSchedule(inst)
 		if err := full.Assign(1, 0); err != nil {
 			return nil, err
 		}
 		if err := full.Assign(2, 1); err != nil {
 			return nil, err
 		}
-		empty := core.NewSchedule(v.inst)
-		// The sparse variant's per-pass work is the candidate column's
-		// nonzero count; the dense variants always stream |U|.
+		empty := core.NewSchedule(inst)
+		// The sparse kernel's per-pass work is the candidate column's
+		// nonzero count; the scalar kernel always streams |U|.
 		work := int64(nU)
-		if v.name == core.KernelSparse {
-			work = int64(v.inst.ColNonzeros(0))
+		if inst.IsSparse() {
+			work = int64(inst.ColNonzeros(0))
 		}
 		if work == 0 {
 			work = 1
@@ -152,9 +132,9 @@ func benchKernels(seed uint64, nU, pct int, budget int64, maxReps int) ([]exp.Ro
 			}
 			elapsed := time.Since(start)
 			rows = append(rows, exp.Row{
-				Figure: "kernel", Dataset: v.name, Algorithm: kc.name,
+				Figure: "kernel", Dataset: sc.KernelName(), Algorithm: kc.name,
 				XName: "density_pct", X: pct,
-				Events: v.inst.NumEvents(), Intervals: v.inst.NumIntervals(), Users: int(work),
+				Events: inst.NumEvents(), Intervals: inst.NumIntervals(), Users: int(work),
 				Utility: gain, ScoreEvals: int64(reps), Elapsed: elapsed,
 			})
 		}

@@ -110,6 +110,8 @@ func markSet(idx []int, n int) []bool {
 //   - with UserWeights, clean weighted-activity columns are copied from
 //     prev and dirty ones recomputed cell by cell; each cell is a single
 //     independent multiply, so per-column rebuild matches the cold build.
+//   - on a sparse instance, clean events share prev's shard-offset columns
+//     and dirty ones are rebuilt (see shardOffsets).
 //
 // prev must have been built for the previous snapshot of the same instance
 // chain with the same options (same UserWeights/EventCost values); shape or
@@ -140,9 +142,10 @@ func NewScorerFromDelta(prev *Scorer, inst *Instance, opts ScorerOptions, d Scor
 	}
 
 	sc := &Scorer{
-		inst:    inst,
-		compSum: make([][]float64, inst.NumIntervals()),
-		cost:    opts.EventCost,
+		inst:     inst,
+		compSum:  make([][]float64, inst.NumIntervals()),
+		cost:     opts.EventCost,
+		shardOff: shardOffsets(inst, prev.shardOff, d.Events),
 	}
 	dirtyComp := markSet(d.CompIntervals, inst.NumIntervals())
 	for t := range sc.compSum {
@@ -182,20 +185,5 @@ func NewScorerFromDelta(prev *Scorer, inst *Instance, opts ScorerOptions, d Scor
 		}
 	}
 
-	// The kernel builds last, with warm hints: factories that precompute
-	// per-column layout (sparse shard offsets, blocked widened tiles) share
-	// the previous kernel's slices for columns the delta left clean and
-	// rebuild only the dirty ones. A kernel-selection change between prev
-	// and opts simply misses the reuse (the type assertion in the factory
-	// fails) and builds cold — never mixes variants.
-	sc.warmPrev = prev.kern
-	sc.warmDirtyEvents = d.Events
-	sc.warmDirtyActs = d.ActIntervals
-	k, kerr := buildKernel(sc, opts.Kernel)
-	sc.warmPrev, sc.warmDirtyEvents, sc.warmDirtyActs = nil, nil, nil
-	if kerr != nil {
-		return nil, kerr
-	}
-	sc.kern = k
 	return sc, nil
 }

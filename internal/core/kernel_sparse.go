@@ -2,55 +2,45 @@ package core
 
 import "sort"
 
-// The sparse kernel: the Eq. 4 reference for instances whose interest matrix
-// is stored as per-column nonzero lists. It is not selectable by name — the
-// representation picks it (KernelAuto and the "scalar"/"blocked" selections
-// all resolve to it on a sparse instance, because it IS the scalar reference
-// for that layout and blocked tiles only exist for dense columns).
+// The sparse kernel: the Eq. 4 loop for instances whose interest matrix is
+// stored as per-column nonzero lists.
+//
+// Its per-scorer state is the shard-offset table (Scorer.shardOff):
+// shardOff[e][i] is the index of the first nonzero of candidate event e's
+// column with user ≥ i·ShardUsers (and shardOff[e][nShards] =
+// len(col.Users)). The parallel scoring engine always scores on the fixed
+// ShardUsers grid, so resolving a shard's [start, end) nonzero window becomes
+// two table reads instead of a binary search per call plus a `user < hi`
+// re-check per iteration — the offsets are computed once per (column, shard
+// grid) at Scorer construction and reused across every round of every solve
+// on that scorer.
 
-// KernelSparse is the concrete Name() of the sparse kernel. Only dense
-// variants appear in the selection registry; this constant exists so callers
-// (stats surfaces, tests) can recognize what "auto" resolved to.
-const KernelSparse = "sparse"
-
-// sparseKernel scores through the instance's nonzero lists. Its per-scorer
-// state is the shard-offset table: off[e][i] is the index of the first
-// nonzero of candidate event e's column with user ≥ i·ShardUsers (and
-// off[e][nShards] = len(col.Users)). The parallel scoring engine always
-// calls ScoreRange on the fixed ShardUsers grid, so resolving a shard's
-// [start, end) nonzero window becomes two table reads instead of a binary
-// search per call plus a `user < hi` re-check per iteration — the offsets
-// are computed once per (column, shard grid) at Scorer construction and
-// reused across every round of every solve on that scorer.
-type sparseKernel struct {
-	off [][]int
-}
-
-// newSparseKernel builds the kernel, precomputing each candidate event
-// column's shard offsets in one O(nnz + shards) merge walk. During a warm
-// scorer rebuild (NewScorerFromDelta) the offsets of columns the mutation
-// did not touch are shared from the previous scorer's kernel: offsets are a
-// pure function of the column's user list, which is unchanged for clean
-// columns.
-func newSparseKernel(sc *Scorer) (Kernel, error) {
-	inst := sc.inst
-	k := &sparseKernel{off: make([][]int, inst.NumEvents())}
-	var prev *sparseKernel
-	if p, ok := sc.warmPrev.(*sparseKernel); ok && len(p.off) == len(k.off) {
-		prev = p
+// shardOffsets builds the shard-offset table of a sparse instance (nil for a
+// dense one), one O(nnz + shards) merge walk per candidate event column.
+// During a warm scorer rebuild (NewScorerFromDelta) prev is the previous
+// scorer's table and dirtyEvents the delta's touched events: the offsets of
+// every other column are shared from prev, since offsets are a pure function
+// of the column's user list, which is unchanged for clean columns. A prev of
+// another shape (or nil: the previous scorer was dense) builds every column.
+func shardOffsets(inst *Instance, prev [][]int, dirtyEvents []int) [][]int {
+	if inst.sparse == nil {
+		return nil
 	}
+	off := make([][]int, inst.NumEvents())
 	var dirty []bool
-	if prev != nil {
-		dirty = markSet(sc.warmDirtyEvents, inst.NumEvents())
+	if prev != nil && len(prev) == len(off) {
+		dirty = markSet(dirtyEvents, len(off))
+	} else {
+		prev = nil
 	}
-	for e := range k.off {
+	for e := range off {
 		if prev != nil && !dirty[e] {
-			k.off[e] = prev.off[e]
+			off[e] = prev[e]
 			continue
 		}
-		k.off[e] = buildShardOffsets(inst.sparse[e], inst.numUsers)
+		off[e] = buildShardOffsets(inst.sparse[e], inst.numUsers)
 	}
-	return k, nil
+	return off
 }
 
 // buildShardOffsets walks one column's ascending user list once, recording
@@ -72,10 +62,10 @@ func buildShardOffsets(col SparseCol, numUsers int) []int {
 // rangeOffsets resolves the nonzero window [start, end) of column e covering
 // users [lo, hi). Shard-grid-aligned bounds — the only ones the scoring
 // engine produces — are table lookups; arbitrary bounds (single-shard tests,
-// exotic callers) fall back to binary search, preserving the old contract
-// that ScoreRange accepts any range.
-func (k *sparseKernel) rangeOffsets(col SparseCol, e, lo, hi, numUsers int) (int, int) {
-	off := k.off[e]
+// exotic callers) fall back to binary search, so ScoreUsers accepts any
+// range.
+func (sc *Scorer) rangeOffsets(col SparseCol, e, lo, hi int) (int, int) {
+	off := sc.shardOff[e]
 	var start int
 	switch {
 	case lo <= 0:
@@ -87,7 +77,7 @@ func (k *sparseKernel) rangeOffsets(col SparseCol, e, lo, hi, numUsers int) (int
 	}
 	var end int
 	switch {
-	case hi >= numUsers:
+	case hi >= sc.inst.numUsers:
 		end = len(col.Users)
 	case hi%ShardUsers == 0 && hi/ShardUsers < len(off):
 		end = off[hi/ShardUsers]
@@ -97,12 +87,9 @@ func (k *sparseKernel) rangeOffsets(col SparseCol, e, lo, hi, numUsers int) (int
 	return start, end
 }
 
-func (*sparseKernel) Name() string { return KernelSparse }
-func (*sparseKernel) Exact() bool  { return true }
-
-// ScoreRange is scoreUserRange over a sparse interest column: it iterates
-// only the column's nonzeros inside [lo, hi), in ascending user order. The
-// result is bit-identical to the scalar dense kernel because every µ = 0
+// sparseScoreRange is scoreUserRange over a sparse interest column: it
+// iterates only the column's nonzeros inside [lo, hi), in ascending user
+// order. The result is bit-identical to denseScoreRange because every µ = 0
 // term there contributes exactly +0.0 to the accumulator:
 //
 //   - cases 1-2: m/(·+m+ε) is +0 for m = 0, and act·(+0) is +0;
@@ -115,10 +102,9 @@ func (*sparseKernel) Exact() bool  { return true }
 // which is what makes sparse and dense runs — and every worker count of the
 // internal/score engine, whose fixed ShardUsers shards call this through
 // ScoreUsers — report identical utilities and schedules.
-func (k *sparseKernel) ScoreRange(sc *Scorer, s *Schedule, e, t, lo, hi int) float64 {
-	inst := sc.inst
-	col := inst.sparse[e]
-	start, end := k.rangeOffsets(col, e, lo, hi, inst.numUsers)
+func (sc *Scorer) sparseScoreRange(s *Schedule, e, t, lo, hi int) float64 {
+	col := sc.inst.sparse[e]
+	start, end := sc.rangeOffsets(col, e, lo, hi)
 	users := col.Users[start:end]
 	mus := col.Mu[start:end]
 	act := sc.scoreActivityCol(t)
@@ -156,30 +142,4 @@ func (k *sparseKernel) ScoreRange(sc *Scorer, s *Schedule, e, t, lo, hi int) flo
 		}
 	}
 	return gain
-}
-
-func (*sparseKernel) AddColInto(inst *Instance, h int, dst []float64) {
-	sparseAddColInto(inst, h, dst)
-}
-
-func (*sparseKernel) SubColInto(inst *Instance, h int, dst []float64) {
-	sparseSubColInto(inst, h, dst)
-}
-
-// sparseAddColInto accumulates a column's nonzeros: dst[u] += µ(u, h). The
-// dense accumulator adds exact +0.0 for every zero cell, so skipping them
-// is bit-identical.
-func sparseAddColInto(inst *Instance, h int, dst []float64) {
-	col := inst.sparse[h]
-	for i, u := range col.Users {
-		dst[u] += float64(col.Mu[i])
-	}
-}
-
-// sparseSubColInto subtracts a column's nonzeros (UnassignLast's undo).
-func sparseSubColInto(inst *Instance, h int, dst []float64) {
-	col := inst.sparse[h]
-	for i, u := range col.Users {
-		dst[u] -= float64(col.Mu[i])
-	}
 }

@@ -1,116 +1,41 @@
 package core
 
 import (
-	"strings"
+	"slices"
 	"testing"
 )
 
-// mustPanic asserts f panics.
-func mustPanic(t *testing.T, what string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s did not panic", what)
-		}
-	}()
-	f()
-}
-
-// TestKernelRegistry: the built-in selection names are registered, unknown
-// names fail with an actionable error, and duplicate/empty registrations are
-// build errors (panics), not runtime conditions.
-func TestKernelRegistry(t *testing.T) {
-	names := KernelNames()
-	for _, want := range []string{KernelAuto, KernelScalar, KernelBlocked, KernelSIMD} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("KernelNames() = %v: missing %q", names, want)
-		}
-	}
-	if err := CheckKernel(""); err != nil {
-		t.Fatalf("empty selection (= auto) rejected: %v", err)
-	}
-	if err := CheckKernel(KernelAuto); err != nil {
-		t.Fatalf("auto rejected: %v", err)
-	}
-	if err := CheckKernel("no-such-kernel"); err == nil || !strings.Contains(err.Error(), "unknown kernel") {
-		t.Fatalf("unknown name error = %v", err)
-	}
-	// The sparse kernel is representation-picked, never name-selectable.
-	if err := CheckKernel(KernelSparse); err == nil {
-		t.Fatal("sparse must not be a selection name")
-	}
-	mustPanic(t, "duplicate registration", func() { RegisterKernel(KernelAuto, newAutoKernel) })
-	mustPanic(t, "empty-name registration", func() { RegisterKernel("", newAutoKernel) })
-}
-
-// TestKernelSelection: what each selection name resolves to on each
-// representation, and that selection never silently substitutes — unknown
-// names and representation mismatches are construction errors.
+// TestKernelSelection: the instance representation alone picks the kernel —
+// scalar on dense, sparse on sparse — whatever options the scorer carries,
+// and only the sparse scorer holds a shard-offset table.
 func TestKernelSelection(t *testing.T) {
 	dense, sparse := buildPair(t, 21, 6, 4, 3, 50, 0.5)
-	cases := []struct {
-		sel  string
-		inst *Instance
-		want string
-	}{
-		{"", dense, KernelScalar},
-		{KernelAuto, dense, KernelScalar},
-		{KernelScalar, dense, KernelScalar},
-		{KernelBlocked, dense, KernelBlocked},
-		{"", sparse, KernelSparse},
-		{KernelAuto, sparse, KernelSparse},
-		{KernelScalar, sparse, KernelSparse},
-		{KernelBlocked, sparse, KernelSparse},
+	w := make([]float64, dense.NumUsers())
+	for u := range w {
+		w[u] = 0.5 + float64(u%3)*0.5
 	}
-	for _, c := range cases {
-		rep := "dense"
-		if c.inst.IsSparse() {
-			rep = "sparse"
-		}
-		sc, err := NewScorerWithOptions(c.inst, ScorerOptions{Kernel: c.sel})
-		if err != nil {
-			t.Fatalf("%s kernel %q: %v", rep, c.sel, err)
-		}
-		if got := sc.KernelName(); got != c.want {
-			t.Errorf("%s kernel %q resolved to %q, want %q", rep, c.sel, got, c.want)
-		}
-		if !sc.Kernel().Exact() {
-			t.Errorf("%s kernel %q (%s) must be exact", rep, c.sel, sc.KernelName())
+	for _, opts := range []ScorerOptions{{}, {UserWeights: w, EventCost: []float64{0, 0.5, 1, 0, 0.5, 1}}} {
+		for _, c := range []struct {
+			inst *Instance
+			want string
+		}{{dense, "scalar"}, {sparse, "sparse"}} {
+			sc, err := NewScorerWithOptions(c.inst, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sc.KernelName(); got != c.want {
+				t.Errorf("sparse=%v: kernel %q, want %q", c.inst.IsSparse(), got, c.want)
+			}
+			if (sc.shardOff != nil) != c.inst.IsSparse() {
+				t.Errorf("sparse=%v: shard-offset table present=%v", c.inst.IsSparse(), sc.shardOff != nil)
+			}
 		}
 	}
-	if NewScorer(dense).KernelName() != KernelScalar {
+	if NewScorer(dense).KernelName() != "scalar" {
 		t.Error("NewScorer on dense must resolve to scalar")
 	}
-	if NewScorer(sparse).KernelName() != KernelSparse {
+	if NewScorer(sparse).KernelName() != "sparse" {
 		t.Error("NewScorer on sparse must resolve to sparse")
-	}
-	if _, err := NewScorerWithOptions(dense, ScorerOptions{Kernel: "no-such-kernel"}); err == nil {
-		t.Fatal("unknown kernel name accepted at scorer construction")
-	}
-
-	// SIMD: selectable in every build, available only under the sessimd tag
-	// on amd64 — and even then only for the dense representation.
-	if err := CheckKernel(KernelSIMD); err != nil {
-		if !strings.Contains(err.Error(), "sessimd") {
-			t.Fatalf("simd unavailability error must say how to enable it: %v", err)
-		}
-		return
-	}
-	sc, err := NewScorerWithOptions(dense, ScorerOptions{Kernel: KernelSIMD})
-	if err != nil {
-		t.Fatalf("simd on dense: %v", err)
-	}
-	if sc.KernelName() != KernelSIMD || sc.Kernel().Exact() {
-		t.Fatalf("simd resolved to %q exact=%v, want simd/inexact", sc.KernelName(), sc.Kernel().Exact())
-	}
-	if _, err := NewScorerWithOptions(sparse, ScorerOptions{Kernel: KernelSIMD}); err == nil {
-		t.Fatal("simd on a sparse instance must fail, not substitute")
 	}
 }
 
@@ -167,43 +92,6 @@ func assertScorersBitIdentical(t *testing.T, ref, alt *Scorer, bounds []int) {
 	check("after-undo")
 }
 
-// TestBlockedKernelBitIdentical: the widened-tile kernel reproduces the
-// scalar reference bit for bit — across tile boundaries (|U| > blockedTile),
-// at misaligned shard bounds, and with the UserWeights/EventCost extensions
-// folded in.
-func TestBlockedKernelBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-tile instance allocates ~300k floats")
-	}
-	// 5000 users crosses one blockedTile (4096) boundary.
-	nU := blockedTile + 904
-	dense, _ := buildPair(t, 31, 6, 4, 3, nU, 0.6)
-	w := make([]float64, nU)
-	for u := range w {
-		w[u] = 0.5 + float64(u%4)*0.25
-	}
-	costs := []float64{0, 0.25, 0.5, 0.75, 1, 1.25}
-	for _, withOpts := range []bool{false, true} {
-		opts := ScorerOptions{}
-		if withOpts {
-			opts = ScorerOptions{UserWeights: w, EventCost: costs}
-		}
-		optsScalar, optsBlocked := opts, opts
-		optsScalar.Kernel = KernelScalar
-		optsBlocked.Kernel = KernelBlocked
-		ref, err := NewScorerWithOptions(dense, optsScalar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blk, err := NewScorerWithOptions(dense, optsBlocked)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Bounds straddle the tile boundary and include misaligned cuts.
-		assertScorersBitIdentical(t, ref, blk, []int{0, 1, 911, blockedTile - 1, blockedTile, blockedTile + 1, nU})
-	}
-}
-
 // TestSparseKernelShardOffsets: on a multi-shard instance (|U| spans three
 // ShardUsers shards) the precomputed offset table and its binary-search
 // fallback agree with the dense scalar reference at shard-aligned AND
@@ -219,12 +107,11 @@ func TestSparseKernelShardOffsets(t *testing.T) {
 	sps := NewScorer(sparse)
 
 	// The offset table has one entry per shard boundary plus the tail.
-	k, ok := sps.Kernel().(*sparseKernel)
-	if !ok {
-		t.Fatalf("sparse scorer kernel is %T", sps.Kernel())
-	}
 	nShards := (nU + ShardUsers - 1) / ShardUsers
-	for e, off := range k.off {
+	if len(sps.shardOff) != sparse.NumEvents() {
+		t.Fatalf("%d offset columns for %d events", len(sps.shardOff), sparse.NumEvents())
+	}
+	for e, off := range sps.shardOff {
 		if len(off) != nShards+1 {
 			t.Fatalf("off[%d] has %d entries, want %d", e, len(off), nShards+1)
 		}
@@ -251,7 +138,7 @@ func TestSparseKernelShardOffsets(t *testing.T) {
 
 	// The scoring engine's reduction contract: both kernels produce
 	// bit-identical shard partials, so reducing them in shard order yields
-	// bit-identical totals for any kernel and any worker count. (The shard
+	// bit-identical totals for either kernel and any worker count. (The shard
 	// reduction is NOT compared against one full-range pass — summing
 	// independently rounded partials reassociates the addition, which is why
 	// the engine always reduces in fixed shards, sequentially or not.)
@@ -280,44 +167,12 @@ func TestSparseKernelShardOffsets(t *testing.T) {
 	}
 }
 
-// TestKernelWarmRebuild: NewScorerFromDelta with a forced kernel selection is
-// bit-identical to a cold build, reuses the previous kernel's per-column
-// state for clean columns (slice sharing), rebuilds dirty ones, and never
-// carries state across a kernel-selection change.
+// TestKernelWarmRebuild: NewScorerFromDelta is bit-identical to a cold
+// build, shares the previous scorer's shard-offset columns for clean events,
+// rebuilds dirty ones, and builds every column when the previous scorer ran
+// the other kernel.
 func TestKernelWarmRebuild(t *testing.T) {
 	dense, sparse := buildPair(t, 51, 7, 4, 3, 60, 0.4)
-
-	t.Run("blocked", func(t *testing.T) {
-		opts := ScorerOptions{Kernel: KernelBlocked}
-		prev, err := NewScorerWithOptions(dense, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next, d := mutateChainStep(t, dense, 0)
-		cold, err := NewScorerWithOptions(next, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := NewScorerFromDelta(prev, next, opts, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.KernelName() != KernelBlocked {
-			t.Fatalf("warm kernel = %q", warm.KernelName())
-		}
-		sameScorerBits(t, cold, warm)
-		pk, wk := prev.Kernel().(*blockedKernel), warm.Kernel().(*blockedKernel)
-		dirty := markSet(d.Events, next.NumEvents())
-		for e := range wk.mu64 {
-			shared := &wk.mu64[e][0] == &pk.mu64[e][0]
-			if dirty[e] && shared {
-				t.Fatalf("dirty event %d shares its widened column", e)
-			}
-			if !dirty[e] && !shared {
-				t.Fatalf("clean event %d rebuilt its widened column", e)
-			}
-		}
-	})
 
 	t.Run("sparse", func(t *testing.T) {
 		prev := NewScorer(sparse)
@@ -327,14 +182,13 @@ func TestKernelWarmRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm.KernelName() != KernelSparse {
+		if warm.KernelName() != "sparse" {
 			t.Fatalf("warm kernel = %q", warm.KernelName())
 		}
 		sameScorerBits(t, cold, warm)
-		pk, wk := prev.Kernel().(*sparseKernel), warm.Kernel().(*sparseKernel)
 		dirty := markSet(d.Events, next.NumEvents())
-		for e := range wk.off {
-			shared := &wk.off[e][0] == &pk.off[e][0]
+		for e := range warm.shardOff {
+			shared := &warm.shardOff[e][0] == &prev.shardOff[e][0]
 			if dirty[e] && shared {
 				t.Fatalf("dirty event %d shares its offset table", e)
 			}
@@ -344,24 +198,25 @@ func TestKernelWarmRebuild(t *testing.T) {
 		}
 	})
 
+	// The representation picks the kernel, so a previous scorer built on
+	// the dense form of the same problem has no offsets to share: the warm
+	// build computes every column itself and still matches a cold build.
 	t.Run("selection-change-builds-cold", func(t *testing.T) {
-		prev, err := NewScorerWithOptions(dense, ScorerOptions{Kernel: KernelScalar})
+		prev := NewScorer(dense)
+		next, d := mutateChainStep(t, sparse, 1)
+		cold := NewScorer(next)
+		warm, err := NewScorerFromDelta(prev, next, ScorerOptions{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, d := mutateChainStep(t, dense, 1)
-		opts := ScorerOptions{Kernel: KernelBlocked}
-		cold, err := NewScorerWithOptions(next, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := NewScorerFromDelta(prev, next, opts, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.KernelName() != KernelBlocked {
+		if warm.KernelName() != "sparse" {
 			t.Fatalf("warm kernel = %q after selection change", warm.KernelName())
 		}
 		sameScorerBits(t, cold, warm)
+		for e, off := range warm.shardOff {
+			if !slices.Equal(off, cold.shardOff[e]) {
+				t.Fatalf("event %d: warm offsets %v, cold %v", e, off, cold.shardOff[e])
+			}
+		}
 	})
 }

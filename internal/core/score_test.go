@@ -39,8 +39,8 @@ func TestRunningExampleInitialScores(t *testing.T) {
 // Figure 2 row ②: scores after α(e4,t2) is selected. The t1 column is
 // unchanged; the t2 scores shrink because e4 now competes for attendance.
 // Note: the paper prints α(e1,t2).S = 0.34, which equals ω'(e1,t2) alone;
-// Eq. 4 (gain including e4's loss) gives 0.1336 — see DESIGN.md "Known paper
-// erratum". The neighbouring printed values 0.16 and 0.03 match Eq. 4.
+// Eq. 4 (gain including e4's loss) gives 0.1336 — see README "Deviations from
+// the paper". The neighbouring printed values 0.16 and 0.03 match Eq. 4.
 func TestRunningExampleScoresAfterFirstSelection(t *testing.T) {
 	inst := RunningExample()
 	sc := NewScorer(inst)

@@ -370,25 +370,35 @@ func (b *Builder) Build() (*Instance, error) {
 // addInterestColInto accumulates column h into dst: dst[u] += µ(u, h). It is
 // the shared primitive behind the scorer's competing-sum precompute and the
 // schedule's per-interval running interest sums — the accumulation half of
-// the kernel surface (Kernel.AddColInto wraps the same helpers). It lives on
-// the instance because Schedule.Assign has no Scorer in hand; the
-// representation picks the implementation, and every kernel variant funnels
-// into the same two helpers so accumulated sums are bit-identical everywhere.
+// the Eq. 4 kernel. It lives on the instance because Schedule.Assign has no
+// Scorer in hand; the representation picks the loop, as it does for
+// Scorer.scoreUserRange. The dense loop adds exact +0.0 for every zero cell,
+// so the sparse loop, which skips them, is bit-identical.
 func (in *Instance) addInterestColInto(h int, dst []float64) {
 	if in.sparse != nil {
-		sparseAddColInto(in, h, dst)
+		col := in.sparse[h]
+		for i, u := range col.Users {
+			dst[u] += float64(col.Mu[i])
+		}
 		return
 	}
-	denseAddColInto(in, h, dst)
+	for u, v := range in.interestCol(h) {
+		dst[u] += float64(v)
+	}
 }
 
 // subInterestColInto subtracts column h from dst (UnassignLast's undo).
 func (in *Instance) subInterestColInto(h int, dst []float64) {
 	if in.sparse != nil {
-		sparseSubColInto(in, h, dst)
+		col := in.sparse[h]
+		for i, u := range col.Users {
+			dst[u] -= float64(col.Mu[i])
+		}
 		return
 	}
-	denseSubColInto(in, h, dst)
+	for u, v := range in.interestCol(h) {
+		dst[u] -= float64(v)
+	}
 }
 
 // ScaleCompetingInterest multiplies every competing-event interest by scale

@@ -6,7 +6,7 @@
 //
 // The real datasets are proprietary dumps we cannot redistribute; MeetupSim
 // and ConcertsSim synthesize data with the structural properties the
-// evaluation depends on (see DESIGN.md "Substitutions"): clustered,
+// evaluation depends on (see README "Deviations from the paper"): clustered,
 // long-tailed interests for Meetup, and the genre-rating interest derivation
 // of Section 4.1 for Concerts. Every generator is deterministic in its seed.
 package dataset

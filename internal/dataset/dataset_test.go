@@ -345,7 +345,8 @@ func TestGeneratedInstancesSchedulable(t *testing.T) {
 }
 
 // Measure gives the dataset substitutions a numeric identity: the properties
-// DESIGN.md claims distinguish the workload families must actually hold.
+// README "Deviations from the paper" claims distinguish the workload families
+// must actually hold.
 func TestMeasureDistinguishesDatasets(t *testing.T) {
 	get := func(name string) Stats {
 		inst, err := ByName(name, Params{K: 10, NumUsers: 300, Seed: 4})

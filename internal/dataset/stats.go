@@ -11,7 +11,7 @@ import (
 // Stats summarizes an instance's statistical structure — the properties the
 // paper's evaluation commentary reasons about (interest spread per dataset,
 // competing mass per interval, sparsity). It gives the dataset substitution
-// claims of DESIGN.md a measurable form.
+// claims of README "Deviations from the paper" a measurable form.
 type Stats struct {
 	Events, Intervals, Competing, Users int
 

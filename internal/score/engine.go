@@ -108,7 +108,7 @@ type Engine struct {
 	workers int
 	tasks   chan func()
 	sink    *Sink
-	// kernelEvals is the sink's per-variant eval counter child bound to
+	// kernelEvals is the sink's per-kernel eval counter child bound to
 	// this engine's kernel name (nil when the sink is absent or unlabeled).
 	kernelEvals *metrics.Counter
 
@@ -157,9 +157,9 @@ type Sink struct {
 	// observes each batch's wall time.
 	BatchCandidates *metrics.Histogram
 	BatchSeconds    *metrics.Histogram
-	// KernelEvals partitions computed Eq. 4 evaluations by the kernel
-	// variant that ran them (label: the scorer's concrete kernel name).
-	// Each engine binds its own child at SetSink time, so the per-variant
+	// KernelEvals partitions computed Eq. 4 evaluations by the kernel that
+	// ran them (label: the scorer's KernelName, "scalar" or "sparse").
+	// Each engine binds its own child at SetSink time, so the per-kernel
 	// split costs one pointer indirection, not a map lookup per eval.
 	KernelEvals *metrics.CounterVec
 }
@@ -233,15 +233,6 @@ func NewFromPrevious(prev *Engine, inst *core.Instance, opts core.ScorerOptions,
 		return nil, err
 	}
 	en := newEngine(sc, inst, opts.Workers)
-	// The grid carries over only between engines running the SAME kernel
-	// variant: cached entries are that variant's bits, and an inexact
-	// variant's values (simd) must never be served as another's — nor may
-	// exact variants trade entries with it, even though exact variants
-	// agree bit for bit with each other, because "which kernel computed
-	// this number" is part of the cache's provenance contract.
-	if prev.sc.KernelName() != sc.KernelName() {
-		return en, nil
-	}
 	if n := inst.NumEvents() * inst.NumIntervals(); n > 0 && n <= gridMaxCells {
 		prev.gridMu.Lock()
 		if len(prev.grid) == n {
@@ -312,9 +303,8 @@ func (en *Engine) Scorer() *core.Scorer { return en.sc }
 // Workers returns the effective worker count (1 = sequential).
 func (en *Engine) Workers() int { return en.workers }
 
-// KernelName returns the concrete name of the Eq. 4 kernel variant the
-// engine's scorer dispatches to ("scalar", "sparse", "blocked", "simd") —
-// what ScorerOptions.Kernel resolved to on this instance.
+// KernelName returns the Eq. 4 kernel the engine's scorer runs: "scalar" on
+// a dense instance, "sparse" on a sparse one.
 func (en *Engine) KernelName() string { return en.sc.KernelName() }
 
 // Utility computes Ω(S) (Eq. 3). One pass per non-empty interval; never
@@ -570,8 +560,8 @@ func (en *Engine) scoreBatchCompute(ctx context.Context, s *core.Schedule, cands
 // thresholds.
 type Stats struct {
 	Workers int `json:"workers"`
-	// Kernel is the concrete Eq. 4 kernel variant this engine dispatches
-	// to (what ScorerOptions.Kernel resolved to on the instance).
+	// Kernel is the Eq. 4 kernel this engine runs ("scalar" or "sparse",
+	// picked by the instance representation).
 	Kernel  string `json:"kernel,omitempty"`
 	Evals   int64  `json:"evals"`
 	Batches int64  `json:"batches"`

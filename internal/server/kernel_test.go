@@ -6,75 +6,66 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/seio"
 )
 
-// TestServerKernelSelection: the -kernel configuration flows to every engine
-// the cache builds, is reported through /stats and sesd_kernel_info, and the
-// per-variant eval counter moves under the configured variant's label — while
-// exact variants keep solve results bit-identical to the default.
+// TestServerKernelSelection: each uploaded instance's representation picks
+// the kernel its engines run, the per-kernel eval counter moves under that
+// label only, and the two kernels keep solve results bit-identical.
 func TestServerKernelSelection(t *testing.T) {
-	if _, err := New(Config{ScoreKernel: "no-such-kernel"}); err == nil {
-		t.Fatal("New accepted an unknown kernel")
+	s, err := New(Config{Workers: 2, Queue: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	c := ts.Client()
+	sparseDoc, denseDoc := sparseUpload(t, 200, 5)
+	do(t, c, "PUT", ts.URL+"/instances/dn", denseDoc, http.StatusCreated, nil)
+	do(t, c, "PUT", ts.URL+"/instances/sp", sparseDoc, http.StatusCreated, nil)
 
-	solve := func(kernel string) seio.SolveResponse {
+	// evals reads one label's counter; a label no engine has used yet has
+	// no sample and counts as zero.
+	evals := func(doc, kernel string) float64 {
+		name := `sesd_score_kernel_evals_total{kernel="` + kernel + `"}`
+		if !strings.Contains(doc, name) {
+			return 0
+		}
+		return sampleValue(t, doc, name)
+	}
+	solve := func(name string) seio.SolveResponse {
 		t.Helper()
-		s, err := New(Config{Workers: 2, Queue: 8, ScoreKernel: kernel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		ts := httptest.NewServer(s)
-		defer ts.Close()
-		c := ts.Client()
-		do(t, c, "PUT", ts.URL+"/instances/x", testInstanceJSON(t, 12, 40, 1), http.StatusCreated, nil)
 		var solved seio.SolveResponse
-		do(t, c, "POST", ts.URL+"/instances/x/solve",
+		do(t, c, "POST", ts.URL+"/instances/"+name+"/solve",
 			jsonBody(t, seio.SolveRequest{Algorithm: "ALG", K: 3}), http.StatusOK, &solved)
-
-		var st Stats
-		do(t, c, "GET", ts.URL+"/stats", nil, http.StatusOK, &st)
-		wantSel := kernel
-		if wantSel == "" {
-			wantSel = core.KernelAuto
-		}
-		if st.Engines.Kernel != wantSel {
-			t.Errorf("config %q: /stats engines.kernel = %q, want %q", kernel, st.Engines.Kernel, wantSel)
-		}
-
-		doc := scrape(t, c, ts.URL)
-		if got := sampleValue(t, doc, `sesd_kernel_info{kernel="`+wantSel+`"}`); got != 1 {
-			t.Errorf("config %q: sesd_kernel_info{kernel=%q} = %v, want 1", kernel, wantSel, got)
-		}
-		// The eval counter is labeled with the CONCRETE kernel the selection
-		// resolved to on this (dense) instance.
-		concrete := wantSel
-		if concrete == core.KernelAuto {
-			concrete = core.KernelScalar
-		}
-		if got := sampleValue(t, doc, `sesd_score_kernel_evals_total{kernel="`+concrete+`"}`); got < 1 {
-			t.Errorf("config %q: sesd_score_kernel_evals_total{kernel=%q} = %v, want >= 1", kernel, concrete, got)
-		}
-		for _, line := range strings.Split(doc, "\n") {
-			if strings.HasPrefix(line, "sesd_kernel_info{") && !strings.Contains(line, `"`+wantSel+`"`) &&
-				!strings.HasSuffix(line, " 0") {
-				t.Errorf("config %q: unexpected non-zero kernel_info sample %q", kernel, line)
-			}
-		}
 		return solved
 	}
 
-	ref := solve("")
-	for _, kernel := range []string{core.KernelScalar, core.KernelBlocked} {
-		got := solve(kernel)
-		if got.Schedule.Utility != ref.Schedule.Utility {
-			t.Errorf("kernel %q: Ω %x differs from default %x", kernel, got.Schedule.Utility, ref.Schedule.Utility)
-		}
-		if got.ScoreEvals != ref.ScoreEvals || got.Examined != ref.Examined {
-			t.Errorf("kernel %q: counters (%d,%d) differ from default (%d,%d)",
-				kernel, got.ScoreEvals, got.Examined, ref.ScoreEvals, ref.Examined)
-		}
+	dense := solve("dn")
+	doc := scrape(t, c, ts.URL)
+	scalarEvals := evals(doc, "scalar")
+	if scalarEvals < 1 {
+		t.Fatalf("dense solve: scalar evals = %v, want >= 1", scalarEvals)
+	}
+	if got := evals(doc, "sparse"); got != 0 {
+		t.Fatalf("dense solve moved the sparse label (%v)", got)
+	}
+
+	sparse := solve("sp")
+	doc = scrape(t, c, ts.URL)
+	if got := evals(doc, "sparse"); got < 1 {
+		t.Fatalf("sparse solve: sparse evals = %v, want >= 1", got)
+	}
+	if got := evals(doc, "scalar"); got != scalarEvals {
+		t.Fatalf("sparse solve moved the scalar label (%v -> %v)", scalarEvals, got)
+	}
+
+	if sparse.Schedule.Utility != dense.Schedule.Utility {
+		t.Errorf("Ω %x (sparse) differs from %x (dense)", sparse.Schedule.Utility, dense.Schedule.Utility)
+	}
+	if sparse.ScoreEvals != dense.ScoreEvals || sparse.Examined != dense.Examined {
+		t.Errorf("counters (%d,%d) (sparse) differ from (%d,%d) (dense)",
+			sparse.ScoreEvals, sparse.Examined, dense.ScoreEvals, dense.Examined)
 	}
 }

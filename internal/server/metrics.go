@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/metrics/span"
 	"repro/internal/persist"
@@ -170,21 +169,10 @@ func (s *Server) initMetrics() {
 		GridHits: r.Counter("sesd_score_grid_hits_total",
 			"Batched candidate scores served from the empty-schedule grid instead of recomputed."),
 		KernelEvals: r.CounterVec("sesd_score_kernel_evals_total",
-			"Eq. 4 evaluations partitioned by the kernel variant that computed them.",
+			"Eq. 4 evaluations partitioned by the kernel that computed them (scalar on dense instances, sparse on sparse ones).",
 			"kernel"),
 	}
 	s.engines.sink = s.scoreSink
-	// Kernel identity: the server-wide -kernel selection as a one-hot info
-	// gauge, so dashboards can join per-variant series against what this
-	// process was configured to run.
-	kernelInfo := r.GaugeVec("sesd_kernel_info",
-		"Configured Eq. 4 kernel selection (constant 1 on the selected variant's label).",
-		"kernel")
-	selected := s.cfg.ScoreKernel
-	if selected == "" {
-		selected = core.KernelAuto
-	}
-	kernelInfo.With(selected).Set(1)
 
 	// Incremental re-solve (the subscribe path) and batch mutations.
 	r.CounterFunc("sesd_mutation_batches_total",

@@ -167,7 +167,7 @@ func BenchmarkCacheInvalidateInstance(b *testing.B) {
 // never cached.
 func TestEngineCacheStaleDrop(t *testing.T) {
 	inst := engineTestInstance(t)
-	ec := newEngineCache(0, 4, "")
+	ec := newEngineCache(0, 4)
 	defer ec.close()
 	var cur atomic.Uint64
 	cur.Store(1)
@@ -208,7 +208,7 @@ func TestEngineCacheStaleDrop(t *testing.T) {
 // acquire via a delta rebuild) and drop too-dirty ones.
 func TestEngineCacheRetireWarm(t *testing.T) {
 	inst := engineTestInstance(t)
-	ec := newEngineCache(0, 4, "")
+	ec := newEngineCache(0, 4)
 	defer ec.close()
 
 	_, rel, _, err := ec.acquire(engineKey{name: "a", version: 1}, inst, core.ScorerOptions{})
@@ -269,7 +269,7 @@ func TestEngineCacheRetireWarm(t *testing.T) {
 // size, working engines at the final version).
 func TestEngineCacheRace(t *testing.T) {
 	inst := engineTestInstance(t)
-	ec := newEngineCache(0, 3, "")
+	ec := newEngineCache(0, 3)
 	defer ec.close()
 	var cur atomic.Uint64
 	cur.Store(1)

@@ -2,8 +2,8 @@
 // recording, producing the step-by-step tables of the paper's Figures 2
 // (ALG) and 4 (HOR). The running example rendered through this package
 // reproduces the published figures line by line (one erratum aside, see
-// DESIGN.md), which is the strongest possible check that the selection and
-// update rules match the paper's.
+// README "Deviations from the paper"), which is the strongest possible check
+// that the selection and update rules match the paper's.
 package trace
 
 import (
