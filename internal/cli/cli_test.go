@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/seio"
 )
 
 func TestSesbenchFigure(t *testing.T) {
@@ -170,5 +172,53 @@ func TestSesgenStats(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "zeros") {
 		t.Errorf("stats banner missing: %s", errb.String())
+	}
+}
+
+// TestSesrunScheduleFileMatchesWriteSchedule: sesrun writes -o from its
+// solve's engine, and the file is byte-identical to the one
+// seio.WriteSchedule (a cold scorer) writes for the same schedule — on dense
+// and sparse instances, sequential and parallel.
+func TestSesrunScheduleFileMatchesWriteSchedule(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		rep      string
+		parallel string
+	}{{"dense", "0"}, {"sparse", "2"}} {
+		instPath := filepath.Join(dir, tc.rep+".json")
+		var out, errb bytes.Buffer
+		if code := Sesgen([]string{"-dataset", "Unf", "-k", "5", "-users", "120", "-seed", "4", "-rep", tc.rep, "-o", instPath}, &out, &errb); code != 0 {
+			t.Fatalf("sesgen exit %d: %s", code, errb.String())
+		}
+		schedPath := filepath.Join(dir, tc.rep+"-sched.json")
+		if code := Sesrun(strings.NewReader(""), []string{
+			"-in", instPath, "-k", "5", "-algo", "HOR-I", "-parallel", tc.parallel, "-o", schedPath,
+		}, &out, &errb); code != 0 {
+			t.Fatalf("sesrun exit %d: %s", code, errb.String())
+		}
+		f, err := os.Open(instPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := seio.ReadInstance(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(schedPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := seio.ReadSchedule(bytes.NewReader(got), inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := seio.WriteSchedule(&want, inst, s); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: sesrun -o wrote\n%s\nWriteSchedule writes\n%s", tc.rep, got, want.Bytes())
+		}
 	}
 }

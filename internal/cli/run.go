@@ -77,19 +77,29 @@ func Sesrun(stdin io.Reader, args []string, stdout, stderr io.Writer) int {
 	if *parallel < 0 {
 		*parallel = score.DefaultWorkers()
 	}
-	s, err := algo.NewWithOptions(*algoName, *seed, core.ScorerOptions{Workers: *parallel})
+	s, err := algo.New(*algoName, *seed)
 	if err != nil {
 		return fail(stderr, "sesrun", err)
 	}
-	res, err := s.Schedule(inst, *k)
+	// The solve's engine holds the instance's O(|U|·|C|) precompute; the
+	// listing and -o reuse its scorer instead of building their own.
+	start := time.Now()
+	en, err := score.New(inst, core.ScorerOptions{Workers: *parallel})
 	if err != nil {
 		return fail(stderr, "sesrun", err)
 	}
-	fmt.Fprintf(stdout, "%s scheduled %d/%d events in %v\n", s.Name(), res.Schedule.Len(), *k, res.Elapsed)
+	defer en.Close()
+	res, err := algo.WithEngine(s, en).Schedule(inst, *k)
+	if err != nil {
+		return fail(stderr, "sesrun", err)
+	}
+	// Report the precompute with the solve, as a scheduler's own engine
+	// would have.
+	fmt.Fprintf(stdout, "%s scheduled %d/%d events in %v\n", s.Name(), res.Schedule.Len(), *k, time.Since(start))
 	fmt.Fprintf(stdout, "utility Ω = %.4f   score computations = %d (×%d users = %d)   assignments examined = %d\n",
 		res.Utility, res.ScoreEvals, inst.NumUsers(), res.Computations(inst.NumUsers()), res.Examined)
+	sc := en.Scorer()
 	if !*quiet {
-		sc := core.NewScorer(inst)
 		for _, a := range res.Schedule.Assignments() {
 			name := inst.Events[a.Event].Name
 			if name == "" {
@@ -116,7 +126,7 @@ func Sesrun(stdin io.Reader, args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, "sesrun", err)
 		}
 		defer f.Close()
-		if err := seio.WriteSchedule(f, inst, res.Schedule); err != nil {
+		if err := seio.WriteScheduleFrom(f, sc, res.Schedule); err != nil {
 			return fail(stderr, "sesrun", err)
 		}
 	}

@@ -123,7 +123,7 @@ func NewScorerFromDelta(prev *Scorer, inst *Instance, opts ScorerOptions, d Scor
 	if prev == nil {
 		return nil, fmt.Errorf("core: warm scorer build without a previous scorer")
 	}
-	if err := opts.validate(inst); err != nil {
+	if err := opts.Validate(inst); err != nil {
 		return nil, err
 	}
 	if err := d.validate(inst); err != nil {

@@ -34,8 +34,10 @@ type ScorerOptions struct {
 	Workers int
 }
 
-// validate checks dimensions and ranges against the instance.
-func (o ScorerOptions) validate(inst *Instance) error {
+// Validate checks the options' dimensions and ranges against the instance
+// without building a scorer: the check NewScorerWithOptions runs before its
+// O(|U|·|C|) precompute.
+func (o ScorerOptions) Validate(inst *Instance) error {
 	if o.UserWeights != nil {
 		if len(o.UserWeights) != inst.NumUsers() {
 			return fmt.Errorf("core: %d user weights for %d users", len(o.UserWeights), inst.NumUsers())
@@ -65,7 +67,7 @@ func (o ScorerOptions) validate(inst *Instance) error {
 // NewScorerWithOptions builds a scorer applying the extensions. A zero
 // options value behaves exactly like NewScorer.
 func NewScorerWithOptions(inst *Instance, opts ScorerOptions) (*Scorer, error) {
-	if err := opts.validate(inst); err != nil {
+	if err := opts.Validate(inst); err != nil {
 		return nil, err
 	}
 	sc := NewScorer(inst)

@@ -48,6 +48,18 @@ func NewScorer(inst *Instance) *Scorer {
 	return sc
 }
 
+// Plain returns the scorer of the plain problem: no UserWeights, no
+// EventCost. The competing sums and shard offsets do not depend on the
+// options, so the view shares them and is bit-identical to
+// NewScorer(sc.Instance()) at O(1) cost; an unweighted, costless scorer is
+// returned as is.
+func (sc *Scorer) Plain() *Scorer {
+	if sc.act == nil && sc.cost == nil {
+		return sc
+	}
+	return &Scorer{inst: sc.inst, compSum: sc.compSum, shardOff: sc.shardOff}
+}
+
 // Instance returns the instance the scorer was built for.
 func (sc *Scorer) Instance() *Instance { return sc.inst }
 

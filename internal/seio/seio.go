@@ -277,9 +277,21 @@ type AssignmentMsg struct {
 }
 
 // NewScheduleMsg evaluates the schedule and builds its wire message: total
-// utility plus per-assignment names and expected attendance.
+// utility plus per-assignment names and expected attendance. It pays a cold
+// O(|U|·|C|) scorer build; a caller that holds the scorer the schedule was
+// solved with uses ScheduleMsgFrom instead.
 func NewScheduleMsg(inst *core.Instance, s *core.Schedule) ScheduleMsg {
-	sc := core.NewScorer(inst)
+	return ScheduleMsgFrom(core.NewScorer(inst), s)
+}
+
+// ScheduleMsgFrom builds the schedule's wire message from an existing scorer
+// of the schedule's instance, in O(k·|U|). The values are always the plain
+// Eq. 3 utility and Eq. 2 attendance: a weighted or costed scorer is
+// evaluated through its Plain view, so the message is bit-identical to
+// NewScheduleMsg whatever options steered the solve.
+func ScheduleMsgFrom(sc *core.Scorer, s *core.Schedule) ScheduleMsg {
+	sc = sc.Plain()
+	inst := sc.Instance()
 	sj := ScheduleMsg{Version: FormatVersion, Utility: sc.Utility(s)}
 	for _, a := range s.Assignments() {
 		sj.Assignments = append(sj.Assignments, AssignmentMsg{
@@ -307,9 +319,15 @@ func (m ScheduleMsg) Replay(inst *core.Instance) (*core.Schedule, error) {
 
 // WriteSchedule encodes the schedule with per-event expected attendance.
 func WriteSchedule(w io.Writer, inst *core.Instance, s *core.Schedule) error {
+	return WriteScheduleFrom(w, core.NewScorer(inst), s)
+}
+
+// WriteScheduleFrom is WriteSchedule evaluated on an existing scorer of the
+// schedule's instance (see ScheduleMsgFrom); the output is byte-identical.
+func WriteScheduleFrom(w io.Writer, sc *core.Scorer, s *core.Schedule) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(NewScheduleMsg(inst, s)); err != nil {
+	if err := enc.Encode(ScheduleMsgFrom(sc, s)); err != nil {
 		return fmt.Errorf("seio: encode schedule: %w", err)
 	}
 	return nil

@@ -276,7 +276,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.examined.Add(res.Examined)
 		bookSelect(tr, res.Elapsed)
 		enc := tr.Start("encode")
-		msg := seio.NewScheduleMsg(inst, res.Schedule)
+		msg := seio.ScheduleMsgFrom(en.Scorer(), res.Schedule)
 		enc.End()
 		resp = seio.SolveResponse{
 			Instance:   info,
@@ -319,7 +319,8 @@ func bookSelect(tr *span.Trace, solveElapsed time.Duration) {
 }
 
 // stageBreakdown renders a solve's trace as the response's stage list:
-// engine_acquire and encode are measured directly, "score" is the batched
+// engine_acquire and encode (the response message, built from the solving
+// engine's precompute) are measured directly, "score" is the batched
 // frontier-scoring time the engine booked against the trace, and "select" is
 // the remainder booked by bookSelect. Nil trace → nil.
 func stageBreakdown(tr *span.Trace) []seio.StageTiming {
@@ -388,7 +389,7 @@ func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 		s.examined.Add(res.Examined)
 		bookSelect(tr, res.Elapsed)
 		enc := tr.Start("encode")
-		msg := seio.NewScheduleMsg(inst, res.Schedule)
+		msg := seio.ScheduleMsgFrom(en.Scorer(), res.Schedule)
 		enc.End()
 		resp = seio.SolveResponse{
 			Instance:   info,
@@ -489,9 +490,11 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	// One scorer serves both the message and the report text.
+	sc := core.NewScorer(inst)
 	writeJSON(w, http.StatusOK, seio.SummarizeResponse{
 		Instance: info,
-		Schedule: seio.NewScheduleMsg(inst, schedule),
-		Text:     ses.Summarize(inst, schedule).String(),
+		Schedule: seio.ScheduleMsgFrom(sc, schedule),
+		Text:     ses.SummarizeWith(sc, schedule).String(),
 	})
 }

@@ -559,7 +559,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	// Scorer options are validated against the pinned snapshot now, so a
 	// dimension mismatch fails the submit instead of every cell.
-	if _, err := core.NewScorerWithOptions(inst, opts); err != nil {
+	if err := opts.Validate(inst); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -691,7 +691,7 @@ func (s *Server) runJobCell(j *Job, c *jobCell) {
 	s.examined.Add(res.Examined)
 	bookSelect(tr, res.Elapsed)
 	enc := tr.Start("encode")
-	msg := seio.NewScheduleMsg(j.inst, res.Schedule)
+	msg := seio.ScheduleMsgFrom(en.Scorer(), res.Schedule)
 	enc.End()
 	resp := seio.SolveResponse{
 		Instance:   j.info,

@@ -300,6 +300,8 @@ func TestJobValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Queue: 4, MaxJobCells: 4})
 	c := ts.Client()
 	do(t, c, "PUT", ts.URL+"/instances/x", testInstanceJSON(t, 3, 20, 5), http.StatusCreated, nil)
+	negCosts := make([]float64, getInstance(t, c, ts.URL+"/instances/x").NumEvents())
+	negCosts[1] = -1
 
 	for name, tc := range map[string]struct {
 		body []byte
@@ -311,6 +313,8 @@ func TestJobValidation(t *testing.T) {
 		"bad algorithm":    {jsonBody(t, seio.JobRequest{Algorithms: []string{"NOPE"}, Ks: []int{2}}), http.StatusBadRequest, "/instances/x/jobs"},
 		"grid too big":     {jsonBody(t, seio.JobRequest{Ks: []int{1, 2}}), http.StatusBadRequest, "/instances/x/jobs"},
 		"bad weights":      {jsonBody(t, seio.JobRequest{Ks: []int{2}, UserWeights: []float64{1}}), http.StatusBadRequest, "/instances/x/jobs"},
+		"bad costs":        {jsonBody(t, seio.JobRequest{Ks: []int{2}, EventCosts: []float64{1, 2}}), http.StatusBadRequest, "/instances/x/jobs"},
+		"negative cost":    {jsonBody(t, seio.JobRequest{Ks: []int{2}, EventCosts: negCosts}), http.StatusBadRequest, "/instances/x/jobs"},
 		"unknown instance": {jsonBody(t, seio.JobRequest{Ks: []int{2}}), http.StatusNotFound, "/instances/none/jobs"},
 		"garbage":          {[]byte("{"), http.StatusBadRequest, "/instances/x/jobs"},
 	} {
@@ -321,6 +325,12 @@ func TestJobValidation(t *testing.T) {
 		}
 	}
 
+	// Submit-time option checks reject without queueing a job.
+	var list seio.JobListResponse
+	do(t, c, "GET", ts.URL+"/jobs", nil, http.StatusOK, &list)
+	if len(list.Jobs) != 0 {
+		t.Errorf("rejected submits left %d jobs", len(list.Jobs))
+	}
 	do(t, c, "GET", ts.URL+"/jobs/job-999", nil, http.StatusNotFound, nil)
 	do(t, c, "DELETE", ts.URL+"/jobs/job-999", nil, http.StatusNotFound, nil)
 }

@@ -195,7 +195,7 @@ func (s *Server) resolveCurrent(ctx context.Context, name, algorithm string, k i
 			Instance:   info,
 			Algorithm:  algorithm,
 			K:          k,
-			Schedule:   seio.NewScheduleMsg(inst, res.Schedule),
+			Schedule:   seio.ScheduleMsgFrom(en.Scorer(), res.Schedule),
 			ScoreEvals: res.ScoreEvals,
 			Examined:   res.Examined,
 			ElapsedMS:  seio.DurationMS(res.Elapsed),

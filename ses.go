@@ -263,16 +263,22 @@ type Report struct {
 }
 
 // Summarize builds a Report for the schedule.
-func Summarize(inst *Instance, s *Schedule) Report {
-	sc := core.NewScorer(inst)
-	rep := Report{Utility: sc.Utility(s)}
-	for _, a := range s.Assignments() {
+func Summarize(inst *Instance, s *Schedule) Report { return SummarizeWith(core.NewScorer(inst), s) }
+
+// SummarizeWith builds the Report from an existing scorer of the schedule's
+// instance, skipping Summarize's O(|U|·|C|) precompute. Like Summarize it
+// reports the plain Eq. 3 utility and Eq. 2 attendance, even when the scorer
+// carries user weights or event costs.
+func SummarizeWith(sc *Scorer, s *Schedule) Report {
+	msg := seio.ScheduleMsgFrom(sc, s)
+	rep := Report{Utility: msg.Utility}
+	for _, a := range msg.Assignments {
 		rep.Events = append(rep.Events, EventReport{
 			Event:    a.Event,
-			Name:     inst.Events[a.Event].Name,
+			Name:     a.EventName,
 			Interval: a.Interval,
-			At:       inst.Intervals[a.Interval].Name,
-			Expected: sc.EventAttendance(s, a.Event),
+			At:       a.AtName,
+			Expected: a.Expected,
 		})
 	}
 	return rep
