@@ -19,7 +19,8 @@ import (
 //
 // Both scoring phases are independent candidate frontiers — the initial
 // |E|×|T| grid and each selection's interval-column recompute — so each runs
-// as one engine batch fan-out.
+// as one engine batch fan-out. The loop is shared with Extend (extend.go):
+// ALG is Extend from the empty schedule.
 type ALG struct {
 	// Opts enables the Section 2.1 problem extensions.
 	Opts core.ScorerOptions
@@ -42,8 +43,7 @@ func (a ALG) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 	if k <= 0 {
 		return nil, ErrBadK
 	}
-	g := newGuard(ctx, k)
-	if err := g.point(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -52,87 +52,5 @@ func (a ALG) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 		return nil, err
 	}
 	defer release()
-	s := core.NewSchedule(inst)
-	var c Counters
-
-	nE, nT := inst.NumEvents(), inst.NumIntervals()
-	// Initial frontier: every (event, interval) pair, scored in one batch.
-	// The candidate order matches the score matrix layout, so the batch
-	// writes the matrix directly.
-	scores := make([]float64, nE*nT)
-	cands := make([]score.Candidate, 0, nE*nT)
-	for e := 0; e < nE; e++ {
-		for t := 0; t < nT; t++ {
-			cands = append(cands, score.Candidate{Event: e, Interval: t})
-		}
-	}
-	if err := en.ScoreBatch(g.ctx, s, cands, scores); err != nil {
-		return nil, err
-	}
-	c.ScoreEvals += int64(len(cands))
-	if err := g.batch(len(cands)); err != nil {
-		return nil, err
-	}
-
-	updVals := make([]float64, nE)
-	for s.Len() < k {
-		if err := g.point(); err != nil {
-			return nil, err
-		}
-		// Select: scan every available assignment for the top valid one.
-		bestE, bestT := int32(-1), -1
-		bestScore := 0.0
-		for e := 0; e < nE; e++ {
-			if _, assigned := s.AssignedInterval(e); assigned {
-				continue
-			}
-			for t := 0; t < nT; t++ {
-				c.Examined++
-				if !s.Feasible(e, t) {
-					continue
-				}
-				sv := scores[e*nT+t]
-				if bestE < 0 || betterFull(sv, int32(e), t, bestScore, bestE, bestT) {
-					bestE, bestT, bestScore = int32(e), t, sv
-				}
-			}
-		}
-		if bestE < 0 {
-			break // no valid assignment remains
-		}
-		if err := s.Assign(int(bestE), bestT); err != nil {
-			return nil, err
-		}
-		if err := g.selected(s.Len()); err != nil {
-			return nil, err
-		}
-		if s.Len() >= k {
-			break // no selection follows, so no update is needed
-		}
-		// Update: recompute every available assignment of the selected
-		// interval against the new schedule state — one batch over the
-		// interval column.
-		upd := cands[:0]
-		for e := 0; e < nE; e++ {
-			if _, assigned := s.AssignedInterval(e); assigned {
-				continue
-			}
-			c.Examined++
-			if !s.Feasible(e, bestT) {
-				continue
-			}
-			upd = append(upd, score.Candidate{Event: e, Interval: bestT})
-		}
-		if err := en.ScoreBatch(g.ctx, s, upd, updVals); err != nil {
-			return nil, err
-		}
-		for i, cd := range upd {
-			scores[cd.Event*nT+bestT] = updVals[i]
-		}
-		c.ScoreEvals += int64(len(upd))
-		if err := g.batch(len(upd)); err != nil {
-			return nil, err
-		}
-	}
-	return finish(en, s, c, start), nil
+	return extendWith(ctx, en, core.NewSchedule(inst), k, start)
 }

@@ -198,6 +198,69 @@ func sortItems(items []item) {
 	})
 }
 
+// frontier is one batch of candidate assignments scored against a schedule
+// state, enumerated interval-major: the i-th interval of the scored range
+// holds cands[starts[i]:starts[i+1]], with Eq. 4 scores in vals. Its buffers
+// are reused from one scoring to the next.
+type frontier struct {
+	nE     int
+	cands  []score.Candidate
+	vals   []float64
+	starts []int
+}
+
+// newFrontier returns a frontier sized for every pair of an nE×nT instance,
+// so no later scoring allocates.
+func newFrontier(nE, nT int) *frontier {
+	return &frontier{
+		nE:     nE,
+		cands:  make([]score.Candidate, 0, nE*nT),
+		vals:   make([]float64, 0, nE*nT),
+		starts: make([]int, 0, nT+1),
+	}
+}
+
+// allPairs keeps every (event, interval) pair.
+func allPairs(int, int) bool { return true }
+
+// score collects the pairs (e, t), t0 ≤ t < t1, that keep admits, scores
+// them against s in one engine batch and accounts the evaluations. A
+// candidate's Eq. 4 sum is computed on its own, so the enumeration order
+// never changes a value.
+func (f *frontier) score(g *guard, en *score.Engine, s *core.Schedule, t0, t1 int, keep func(e, t int) bool, c *Counters) error {
+	f.cands, f.starts = f.cands[:0], f.starts[:0]
+	for t := t0; t < t1; t++ {
+		f.starts = append(f.starts, len(f.cands))
+		for e := 0; e < f.nE; e++ {
+			if keep(e, t) {
+				f.cands = append(f.cands, score.Candidate{Event: e, Interval: t})
+			}
+		}
+	}
+	f.starts = append(f.starts, len(f.cands))
+	f.vals = f.vals[:len(f.cands)]
+	if err := en.ScoreBatch(g.ctx, s, f.cands, f.vals); err != nil {
+		return err
+	}
+	c.ScoreEvals += int64(len(f.cands))
+	return g.batch(len(f.cands))
+}
+
+// list writes the t-th scored interval's candidates into dst as updated items
+// in list order, reusing dst's storage when it is large enough.
+func (f *frontier) list(t int, dst []item) []item {
+	lo, hi := f.starts[t], f.starts[t+1]
+	if cap(dst) < hi-lo {
+		dst = make([]item, 0, hi-lo)
+	}
+	dst = dst[:0]
+	for i := lo; i < hi; i++ {
+		dst = append(dst, item{e: int32(f.cands[i].Event), score: f.vals[i], updated: true})
+	}
+	sortItems(dst)
+	return dst
+}
+
 // finish assembles the Result shared by all schedulers.
 func finish(en *score.Engine, s *core.Schedule, c Counters, start time.Time) *Result {
 	return &Result{

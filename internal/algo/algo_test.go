@@ -691,6 +691,10 @@ func TestExtendMatchesALG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// ALG is Extend from the empty schedule: the work counters agree too.
+	if fromEmpty.Counters != full.Counters {
+		t.Errorf("counters %+v from empty vs %+v ALG", fromEmpty.Counters, full.Counters)
+	}
 	fa, ea := full.Schedule.Assignments(), fromEmpty.Schedule.Assignments()
 	if len(fa) != len(ea) {
 		t.Fatalf("lengths differ: %d vs %d", len(fa), len(ea))

@@ -58,23 +58,13 @@ func (a TOP) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 	}
 	// TOP's entire score work is one frontier: every (event, interval) pair
 	// against the empty schedule, scored in a single batch fan-out.
-	cands := make([]score.Candidate, 0, nE*nT)
-	for e := 0; e < nE; e++ {
-		for t := 0; t < nT; t++ {
-			cands = append(cands, score.Candidate{Event: e, Interval: t})
-		}
-	}
-	vals := make([]float64, len(cands))
-	if err := en.ScoreBatch(g.ctx, s, cands, vals); err != nil {
-		return nil, err
-	}
-	c.ScoreEvals += int64(len(cands))
-	if err := g.batch(len(cands)); err != nil {
+	f := newFrontier(nE, nT)
+	if err := f.score(g, en, s, 0, nT, allPairs, &c); err != nil {
 		return nil, err
 	}
 	all := make([]pair, 0, nE*nT)
-	for i, cd := range cands {
-		all = append(all, pair{item{e: int32(cd.Event), score: vals[i]}, cd.Interval})
+	for i, cd := range f.cands {
+		all = append(all, pair{item{e: int32(cd.Event), score: f.vals[i]}, cd.Interval})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		return betterFull(all[i].score, all[i].e, all[i].t, all[j].score, all[j].e, all[j].t)

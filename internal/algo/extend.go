@@ -15,36 +15,32 @@ import (
 // events" — and the building block the incremental event-planning variants
 // cited by the paper ([6] Cheng et al., ICDE 2017) study.
 //
-// Extend uses ALG's greedy rule against the current schedule state, so
-// Extend(inst, empty, k) selects exactly ALG's schedule, which the tests
-// assert. The base schedule is not modified; the returned Result holds an
-// extended copy.
+// Extend runs ALG's greedy loop from the base schedule, so
+// Extend(inst, empty, k) is ALG's run — schedule and counters — which the
+// tests assert. The base schedule is not modified; the returned Result holds
+// an extended copy.
 func Extend(inst *core.Instance, base *core.Schedule, extra int, opts core.ScorerOptions) (*Result, error) {
-	return ExtendCtx(context.Background(), inst, base, extra, opts)
-}
-
-// ExtendCtx is Extend with the same cooperative cancellation and progress
-// contract as Scheduler.ScheduleCtx.
-func ExtendCtx(ctx context.Context, inst *core.Instance, base *core.Schedule, extra int, opts core.ScorerOptions) (*Result, error) {
 	if err := checkExtend(inst, base, extra); err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	en, err := score.New(inst, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer en.Close()
-	return extendWith(ctx, en, base, extra)
+	return extendWith(context.Background(), en, base, extra, start)
 }
 
-// ExtendWithEngine is ExtendCtx against a shared scoring engine (which pins
-// the instance), the form sesd uses so extends of one instance version reuse
-// the version's engine.
+// ExtendWithEngine is Extend against a shared scoring engine (which pins the
+// instance), with the same cooperative cancellation and progress contract as
+// Scheduler.ScheduleCtx. sesd uses it so extends of one instance version
+// reuse the version's engine.
 func ExtendWithEngine(ctx context.Context, en *score.Engine, base *core.Schedule, extra int) (*Result, error) {
 	if err := checkExtend(en.Instance(), base, extra); err != nil {
 		return nil, err
 	}
-	return extendWith(ctx, en, base, extra)
+	return extendWith(ctx, en, base, extra, time.Now())
 }
 
 func checkExtend(inst *core.Instance, base *core.Schedule, extra int) error {
@@ -60,43 +56,48 @@ func checkExtend(inst *core.Instance, base *core.Schedule, extra int) error {
 	return nil
 }
 
-func extendWith(ctx context.Context, en *score.Engine, base *core.Schedule, extra int) (*Result, error) {
-	inst := en.Instance()
+// extendWith is the greedy loop of ALG and Extend. It scores every interval
+// of every unassigned event against base, then repeats up to extra times:
+// scan all available assignments for the top valid one, select it, and
+// rescore the still-feasible unassigned events of the selected interval.
+func extendWith(ctx context.Context, en *score.Engine, base *core.Schedule, extra int, start time.Time) (*Result, error) {
 	g := newGuard(ctx, extra)
 	if err := g.point(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	s := base.Clone()
 	var c Counters
-
-	nE, nT := inst.NumEvents(), inst.NumIntervals()
-	// Initial frontier: every interval of every still-unassigned event,
-	// scored against the base schedule in one batch.
+	nE, nT := en.Instance().NumEvents(), en.Instance().NumIntervals()
+	unassigned := func(e, _ int) bool {
+		_, taken := s.AssignedInterval(e)
+		return !taken
+	}
+	// The update sweep examines every unassigned event of the selected
+	// interval and rescores the feasible ones.
+	column := func(e, t int) bool {
+		if !unassigned(e, t) {
+			return false
+		}
+		c.Examined++
+		return s.Feasible(e, t)
+	}
 	scores := make([]float64, nE*nT)
-	cands := make([]score.Candidate, 0, nE*nT)
-	for e := 0; e < nE; e++ {
-		if _, taken := s.AssignedInterval(e); taken {
-			continue
-		}
-		for t := 0; t < nT; t++ {
-			cands = append(cands, score.Candidate{Event: e, Interval: t})
+	f := newFrontier(nE, nT)
+	fill := func() {
+		for i, cd := range f.cands {
+			scores[cd.Event*nT+cd.Interval] = f.vals[i]
 		}
 	}
-	vals := make([]float64, len(cands))
-	if err := en.ScoreBatch(g.ctx, s, cands, vals); err != nil {
+	if err := f.score(g, en, s, 0, nT, unassigned, &c); err != nil {
 		return nil, err
 	}
-	for i, cd := range cands {
-		scores[cd.Event*nT+cd.Interval] = vals[i]
-	}
-	c.ScoreEvals += int64(len(cands))
-	if err := g.batch(len(cands)); err != nil {
-		return nil, err
-	}
+	fill()
 
 	target := s.Len() + extra
 	for s.Len() < target {
+		if err := g.point(); err != nil {
+			return nil, err
+		}
 		bestE, bestT := -1, -1
 		bestScore := 0.0
 		for e := 0; e < nE; e++ {
@@ -115,7 +116,7 @@ func extendWith(ctx context.Context, en *score.Engine, base *core.Schedule, extr
 			}
 		}
 		if bestE < 0 {
-			break
+			break // no valid assignment remains
 		}
 		if err := s.Assign(bestE, bestT); err != nil {
 			return nil, err
@@ -124,29 +125,12 @@ func extendWith(ctx context.Context, en *score.Engine, base *core.Schedule, extr
 			return nil, err
 		}
 		if s.Len() >= target {
-			break
+			break // no selection follows, so no update is needed
 		}
-		// Recompute the selected interval's column in one batch.
-		upd := cands[:0]
-		for e := 0; e < nE; e++ {
-			if _, taken := s.AssignedInterval(e); taken {
-				continue
-			}
-			if !s.Feasible(e, bestT) {
-				continue
-			}
-			upd = append(upd, score.Candidate{Event: e, Interval: bestT})
-		}
-		if err := en.ScoreBatch(g.ctx, s, upd, vals); err != nil {
+		if err := f.score(g, en, s, bestT, bestT+1, column, &c); err != nil {
 			return nil, err
 		}
-		for i, cd := range upd {
-			scores[cd.Event*nT+bestT] = vals[i]
-		}
-		c.ScoreEvals += int64(len(upd))
-		if err := g.batch(len(upd)); err != nil {
-			return nil, err
-		}
+		fill()
 	}
 	return finish(en, s, c, start), nil
 }

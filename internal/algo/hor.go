@@ -53,38 +53,17 @@ func (a HOR) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 
 	nE, nT := inst.NumEvents(), inst.NumIntervals()
 	lists := make([][]item, nT)
-	cands := make([]score.Candidate, 0, nE*nT)
-	vals := make([]float64, nE*nT)
-	starts := make([]int, nT+1)
+	f := newFrontier(nE, nT)
+	valid := s.Valid // bound once, so no layer allocates
 	for s.Len() < k {
 		// Layer start: regenerate and score every valid assignment
 		// (Algorithm 2, lines 3-8). The whole layer frontier — every valid
 		// assignment across every interval — is one batch fan-out.
-		cands = cands[:0]
-		for t := 0; t < nT; t++ {
-			starts[t] = len(cands)
-			for e := 0; e < nE; e++ {
-				if !s.Valid(e, t) {
-					continue
-				}
-				cands = append(cands, score.Candidate{Event: e, Interval: t})
-			}
-		}
-		starts[nT] = len(cands)
-		if err := en.ScoreBatch(g.ctx, s, cands, vals); err != nil {
-			return nil, err
-		}
-		c.ScoreEvals += int64(len(cands))
-		if err := g.batch(len(cands)); err != nil {
+		if err := f.score(g, en, s, 0, nT, valid, &c); err != nil {
 			return nil, err
 		}
 		for t := 0; t < nT; t++ {
-			items := lists[t][:0]
-			for i := starts[t]; i < starts[t+1]; i++ {
-				items = append(items, item{e: int32(cands[i].Event), score: vals[i], updated: true})
-			}
-			sortItems(items)
-			lists[t] = items
+			lists[t] = f.list(t, lists[t])
 		}
 		assigned, err := horSelectLayer(s, lists, k, &c, g)
 		if err != nil {

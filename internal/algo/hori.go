@@ -75,33 +75,12 @@ func (a HORI) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Res
 
 	// First layer: generate and score everything, like HOR
 	// (Algorithm 3, lines 3-7) — the full frontier in one batch fan-out.
-	cands := make([]score.Candidate, 0, nE*nT)
-	starts := make([]int, nT+1)
-	for t := 0; t < nT; t++ {
-		starts[t] = len(cands)
-		for e := 0; e < nE; e++ {
-			if !st.s.Valid(e, t) {
-				continue
-			}
-			cands = append(cands, score.Candidate{Event: e, Interval: t})
-		}
-	}
-	starts[nT] = len(cands)
-	vals := make([]float64, len(cands))
-	if err := en.ScoreBatch(g.ctx, st.s, cands, vals); err != nil {
-		return nil, err
-	}
-	st.c.ScoreEvals += int64(len(cands))
-	if err := g.batch(len(cands)); err != nil {
+	f := newFrontier(nE, nT)
+	if err := f.score(g, en, st.s, 0, nT, st.s.Valid, &st.c); err != nil {
 		return nil, err
 	}
 	for t := 0; t < nT; t++ {
-		items := make([]item, 0, starts[t+1]-starts[t])
-		for i := starts[t]; i < starts[t+1]; i++ {
-			items = append(items, item{e: int32(cands[i].Event), score: vals[i], updated: true})
-		}
-		sortItems(items)
-		st.lists[t] = items
+		st.lists[t] = f.list(t, nil)
 	}
 	for st.s.Len() < k {
 		made, err := st.selectLayer(k)

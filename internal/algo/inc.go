@@ -93,37 +93,17 @@ func (a INC) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 		g:     g,
 	}
 
-	// Generate all assignments, score them against the empty schedule in one
-	// batch fan-out and organize them into per-interval sorted lists
-	// (Algorithm 1, lines 2-5). Candidates are collected interval-major so
-	// the per-interval slices of the frontier stay contiguous.
+	// Generate all feasible assignments (a pair with ξ_e > θ is never
+	// schedulable), score them against the empty schedule in one batch
+	// fan-out and organize them into per-interval sorted lists (Algorithm 1,
+	// lines 2-5).
 	nE, nT := inst.NumEvents(), inst.NumIntervals()
-	cands := make([]score.Candidate, 0, nE*nT)
-	starts := make([]int, nT+1)
-	for t := 0; t < nT; t++ {
-		starts[t] = len(cands)
-		for e := 0; e < nE; e++ {
-			if !st.s.Feasible(e, t) {
-				continue // ξ_e > θ: never schedulable
-			}
-			cands = append(cands, score.Candidate{Event: e, Interval: t})
-		}
-	}
-	starts[nT] = len(cands)
-	vals := make([]float64, len(cands))
-	if err := en.ScoreBatch(g.ctx, st.s, cands, vals); err != nil {
-		return nil, err
-	}
-	st.c.ScoreEvals += int64(len(cands))
-	if err := g.batch(len(cands)); err != nil {
+	f := newFrontier(nE, nT)
+	if err := f.score(g, en, st.s, 0, nT, st.s.Feasible, &st.c); err != nil {
 		return nil, err
 	}
 	for t := 0; t < nT; t++ {
-		items := make([]item, 0, starts[t+1]-starts[t])
-		for i := starts[t]; i < starts[t+1]; i++ {
-			items = append(items, item{e: int32(cands[i].Event), score: vals[i], updated: true})
-		}
-		sortItems(items)
+		items := f.list(t, nil)
 		st.lists[t] = incList{items: items}
 		if len(items) > 0 {
 			st.m[t] = top{e: items[0].e, score: items[0].score, ok: true}

@@ -128,14 +128,14 @@ func FigResolve(o Options) ([]Row, error) {
 				continue
 			}
 			if o.wantDataset("warm") {
-				res, _, err := algo.Resolve(context.Background(), name, o.Seed, warm, k, nil, false)
+				res, err := solveOn(name, o.Seed, warm, k)
 				if err != nil {
 					return nil, err
 				}
 				addSolve("warm", name, step, res)
 			}
 			if cold != nil {
-				res, _, err := algo.Resolve(context.Background(), name, o.Seed, cold, k, nil, false)
+				res, err := solveOn(name, o.Seed, cold, k)
 				if err != nil {
 					return nil, err
 				}
@@ -147,4 +147,14 @@ func FigResolve(o Options) ([]Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// solveOn runs the named scheduler on en's instance, the call sesd makes for
+// a re-solve.
+func solveOn(name string, seed uint64, en *score.Engine, k int) (*algo.Result, error) {
+	sched, err := algo.NewWithEngine(name, seed, en)
+	if err != nil {
+		return nil, err
+	}
+	return sched.ScheduleCtx(context.Background(), en.Instance(), k)
 }

@@ -25,6 +25,25 @@ type cacheKey struct {
 	opts      uint64
 }
 
+// newCacheKey builds the key of a solve; seed is the client's, collapsed by
+// seedKeyFor, and opts the optsFingerprint of its scorer options.
+func newCacheKey(name string, version uint64, algorithm string, k int, seed, opts uint64) cacheKey {
+	return cacheKey{
+		name:      name,
+		version:   version,
+		algorithm: algorithm,
+		k:         k,
+		seed:      seedKeyFor(algorithm, seed),
+		opts:      opts,
+	}
+}
+
+// engine is the key of the scoring engine the solve runs on: every solve of
+// one instance version and scorer options shares it.
+func (k cacheKey) engine() engineKey {
+	return engineKey{name: k.name, version: k.version, opts: k.opts}
+}
+
 // optsFingerprint hashes the Section 2.1 extension vectors into the cache
 // key. Length markers separate the two vectors so ambiguous concatenations
 // cannot collide.

@@ -70,7 +70,11 @@ func TestVersionedCacheConsistency(t *testing.T) {
 						if warm.Cached {
 							t.Fatalf("step %d %s: first solve claimed cached", step, name)
 						}
-						res, _, err := algo.Resolve(context.Background(), name, 5, cold, 3, nil, false)
+						sched, err := algo.NewWithEngine(name, 5, cold)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := sched.ScheduleCtx(context.Background(), inst, 3)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics/span"
 	"repro/internal/persist"
+	"repro/internal/score"
 	"repro/internal/seio"
 	"repro/internal/sim"
 )
@@ -150,50 +152,107 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// runPooled submits work to the solver pool and waits for it or for the
-// client to go away. It writes the 429/backpressure responses itself and
-// reports whether the caller should write a response (false = already
-// handled or client gone).
-func (s *Server) runPooled(w http.ResponseWriter, r *http.Request, run func()) bool {
+// errSolverPanic marks a solver panic recovered on a pool worker.
+var errSolverPanic = errors.New("solver panicked")
+
+// pooled runs fn on a pool worker, handed over by submit (Pool.Submit fails
+// fast when the queue is full; Pool.SubmitWait waits for a slot), and waits
+// for it or for ctx. A panic in fn costs the caller an error wrapping
+// errSolverPanic, never the daemon its life (and with it the memory-only
+// store). The queue span measures enqueue-to-pickup: a rejected or skipped
+// job never ends it, and the trace snapshot clamps the open span to the
+// trace end, which is exactly how long the request was stuck behind the
+// queue.
+func (s *Server) pooled(ctx context.Context, submit func(context.Context, func()) error, fn func()) error {
 	done := make(chan struct{})
-	var panicked any
-	// The queue span measures enqueue-to-pickup. A rejected or skipped job
-	// never ends it; the trace snapshot clamps the open span to the trace
-	// end, which is exactly how long the request was stuck behind the queue.
-	qs := span.FromContext(r.Context()).Start("queue")
-	err := s.pool.Submit(r.Context(), func() {
+	var panicErr error
+	qs := span.FromContext(ctx).Start("queue")
+	err := submit(ctx, func() {
 		qs.End()
 		defer close(done)
-		// A panicking solver must cost this request a 500, not the
-		// daemon its life (and with it the memory-only store).
-		defer func() { panicked = recover() }()
-		run()
+		defer func() {
+			if r := recover(); r != nil {
+				s.pool.panics.Add(1)
+				panicErr = fmt.Errorf("%w: %v", errSolverPanic, r)
+			}
+		}()
+		fn()
 	})
-	switch {
-	case errors.Is(err, ErrBusy):
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, err)
-		return false
-	case errors.Is(err, ErrPoolClosed):
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return false
-	case err != nil: // request context already dead
-		return false
+	if err != nil {
+		return err
 	}
 	select {
 	case <-done:
-		if panicked != nil {
-			s.pool.panics.Add(1)
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("solver panicked: %v", panicked))
-			return false
-		}
-		return true
-	case <-r.Context().Done():
-		// The client disconnected while the job was queued or running;
-		// the worker (if it runs) writes into thin air harmlessly since
-		// the response writer is dead anyway.
-		return false
+		return panicErr
+	case <-ctx.Done():
+		// The caller went away while the job was queued or running; the
+		// worker (if it runs) finishes into results nobody reads.
+		return ctx.Err()
 	}
+}
+
+// runPooled runs fn on the solver pool for an HTTP request. It writes the
+// 429/503/500 responses itself and reports whether the caller should write a
+// response (false = already handled or client gone).
+func (s *Server) runPooled(w http.ResponseWriter, r *http.Request, fn func()) bool {
+	err := s.pooled(r.Context(), s.pool.Submit, fn)
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, ErrBusy):
+		w.Header().Set("Retry-After", "1")
+		writeErr(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, ErrPoolClosed):
+		writeErr(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, errSolverPanic):
+		writeErr(w, http.StatusInternalServerError, err)
+	}
+	return false // request context dead
+}
+
+// solveRun is one solver call against an acquired engine.
+type solveRun func(ctx context.Context, en *score.Engine) (*algo.Result, error)
+
+// schedule is the solveRun of sched for k selections on inst.
+func schedule(sched algo.Scheduler, inst *core.Instance, k int) solveRun {
+	return func(ctx context.Context, en *score.Engine) (*algo.Result, error) {
+		return algo.WithEngine(sched, en).ScheduleCtx(ctx, inst, k)
+	}
+}
+
+// solveOn is sesd's one solve path, run on a pool worker by solve, extend,
+// re-solve and sweep cell alike. Solves of one instance version share one
+// scoring engine, so the dense precompute and (with ScoreWorkers) the scoring
+// worker set are paid once per version, not per request. solveOn acquires
+// that engine inside the engine_acquire span, makes the run on it, accounts
+// its work counters, books the select stage and encodes the schedule from the
+// engine's scorer inside the encode span. head carries the response's
+// instance, algorithm and k; reused reports an engine reused or warm-rebuilt
+// rather than built cold. ctx rides into the solver, so a caller that goes
+// away frees the worker at the next periodic cancellation check.
+func (s *Server) solveOn(ctx context.Context, tr *span.Trace, ek engineKey, inst *core.Instance, opts core.ScorerOptions,
+	head seio.SolveResponse, run solveRun) (resp seio.SolveResponse, reused bool, err error) {
+	acq := tr.Start("engine_acquire")
+	en, release, reused, err := s.engines.acquire(ek, inst, opts)
+	acq.Annotate("engine", engineTemp(reused))
+	acq.End()
+	if err != nil {
+		return seio.SolveResponse{}, false, err
+	}
+	defer release()
+	res, err := run(ctx, en)
+	if err != nil {
+		return seio.SolveResponse{}, false, err
+	}
+	s.scoreEvals.Add(res.ScoreEvals)
+	s.examined.Add(res.Examined)
+	bookSelect(tr, res.Elapsed)
+	enc := tr.Start("encode")
+	head.Schedule = seio.ScheduleMsgFrom(en.Scorer(), res.Schedule)
+	enc.End()
+	head.ScoreEvals, head.Examined = res.ScoreEvals, res.Examined
+	head.ElapsedMS = seio.DurationMS(res.Elapsed)
+	return head, reused, nil
 }
 
 // handleSolve runs one of the paper's algorithms against the current
@@ -224,14 +283,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, storeErrCode(err), err)
 		return
 	}
-	key := cacheKey{
-		name:      name,
-		version:   info.Version,
-		algorithm: req.Algorithm,
-		k:         req.K,
-		seed:      seedKeyFor(req.Algorithm, req.Seed),
-		opts:      optsFingerprint(req.UserWeights, req.EventCosts),
-	}
+	key := newCacheKey(name, info.Version, req.Algorithm, req.K, req.Seed,
+		optsFingerprint(req.UserWeights, req.EventCosts))
 	// The request trace was minted by the instrument middleware and rides the
 	// request context into the pool and the scoring engine, which books
 	// batched-scoring time against it. Every span call is nil-safe, so
@@ -251,50 +304,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		slvErr error
 	)
 	if !s.runPooled(w, r, func() {
-		// Solves of one instance version share one scoring engine: the
-		// dense precompute and (with ScoreWorkers) the scoring worker set
-		// are paid once per version, not per request.
-		acq := tr.Start("engine_acquire")
-		en, releaseEngine, reused, err := s.engines.acquire(
-			engineKey{name: name, version: info.Version, opts: key.opts}, inst, opts)
-		acq.Annotate("engine", engineTemp(reused))
-		acq.End()
-		if err != nil {
-			slvErr = err
-			return
+		resp, _, slvErr = s.solveOn(r.Context(), tr, key.engine(), inst, opts,
+			seio.SolveResponse{Instance: info, Algorithm: req.Algorithm, K: req.K},
+			schedule(sched, inst, req.K))
+		if slvErr == nil {
+			s.cache.Put(key, resp)
+			s.appendSolveRecord(key, resp)
 		}
-		defer releaseEngine()
-		// The request's context rides into the solver: a client that
-		// disconnects mid-solve frees its worker at the next periodic
-		// cancellation check instead of holding it to completion.
-		res, err := algo.WithEngine(sched, en).ScheduleCtx(r.Context(), inst, req.K)
-		if err != nil {
-			slvErr = err
-			return
-		}
-		s.scoreEvals.Add(res.ScoreEvals)
-		s.examined.Add(res.Examined)
-		bookSelect(tr, res.Elapsed)
-		enc := tr.Start("encode")
-		msg := seio.ScheduleMsgFrom(en.Scorer(), res.Schedule)
-		enc.End()
-		resp = seio.SolveResponse{
-			Instance:   info,
-			Algorithm:  req.Algorithm,
-			K:          req.K,
-			Schedule:   msg,
-			ScoreEvals: res.ScoreEvals,
-			Examined:   res.Examined,
-			ElapsedMS:  seio.DurationMS(res.Elapsed),
-		}
-		// Cache and log the response WITHOUT stages or trace ID: a cached or
-		// replayed response must not present another run's identity as its own.
-		s.cache.Put(key, resp)
-		s.appendSolveRecord(key, resp)
-		if req.Timings {
-			resp.Stages = stageBreakdown(tr)
-		}
-		resp.TraceID = tr.ID()
 	}) {
 		return
 	}
@@ -302,6 +318,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, slvErr)
 		return
 	}
+	// Stages and trace ID are added only after caching and logging: a cached
+	// or replayed response must not present another run's identity as its own.
+	if req.Timings {
+		resp.Stages = stageBreakdown(tr)
+	}
+	resp.TraceID = tr.ID()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -361,6 +383,7 @@ func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := core.ScorerOptions{UserWeights: req.UserWeights, EventCost: req.EventCosts}
+	ek := engineKey{name: name, version: info.Version, opts: optsFingerprint(req.UserWeights, req.EventCosts)}
 	tr := span.FromContext(r.Context())
 	tr.Annotate("instance", name)
 	tr.Annotate("algorithm", "EXTEND")
@@ -369,41 +392,11 @@ func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 		extErr error
 	)
 	if !s.runPooled(w, r, func() {
-		acq := tr.Start("engine_acquire")
-		en, releaseEngine, reused, err := s.engines.acquire(
-			engineKey{name: name, version: info.Version, opts: optsFingerprint(req.UserWeights, req.EventCosts)},
-			inst, opts)
-		acq.Annotate("engine", engineTemp(reused))
-		acq.End()
-		if err != nil {
-			extErr = err
-			return
-		}
-		defer releaseEngine()
-		res, err := algo.ExtendWithEngine(r.Context(), en, base, req.Extra)
-		if err != nil {
-			extErr = err
-			return
-		}
-		s.scoreEvals.Add(res.ScoreEvals)
-		s.examined.Add(res.Examined)
-		bookSelect(tr, res.Elapsed)
-		enc := tr.Start("encode")
-		msg := seio.ScheduleMsgFrom(en.Scorer(), res.Schedule)
-		enc.End()
-		resp = seio.SolveResponse{
-			Instance:   info,
-			Algorithm:  "EXTEND",
-			K:          req.Extra,
-			Schedule:   msg,
-			ScoreEvals: res.ScoreEvals,
-			Examined:   res.Examined,
-			ElapsedMS:  seio.DurationMS(res.Elapsed),
-			TraceID:    tr.ID(),
-		}
-		if req.Timings {
-			resp.Stages = stageBreakdown(tr)
-		}
+		resp, _, extErr = s.solveOn(r.Context(), tr, ek, inst, opts,
+			seio.SolveResponse{Instance: info, Algorithm: "EXTEND", K: req.Extra},
+			func(ctx context.Context, en *score.Engine) (*algo.Result, error) {
+				return algo.ExtendWithEngine(ctx, en, base, req.Extra)
+			})
 	}) {
 		return
 	}
@@ -411,6 +404,10 @@ func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, extErr)
 		return
 	}
+	if req.Timings {
+		resp.Stages = stageBreakdown(tr)
+	}
+	resp.TraceID = tr.ID()
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -639,14 +639,7 @@ func (s *Server) runJobCell(j *Job, c *jobCell) {
 			j.finishCell(c, seio.CellFailed, seio.SolveResponse{}, fmt.Errorf("solver panicked: %v", r))
 		}
 	}()
-	key := cacheKey{
-		name:      j.name,
-		version:   j.info.Version,
-		algorithm: c.algorithm,
-		k:         c.k,
-		seed:      seedKeyFor(c.algorithm, j.seed),
-		opts:      j.optsFP,
-	}
+	key := newCacheKey(j.name, j.info.Version, c.algorithm, c.k, j.seed, j.optsFP)
 	if resp, ok := s.cache.Get(key); ok {
 		resp.Cached = true
 		j.finishCell(c, seio.CellDone, resp, nil)
@@ -668,17 +661,9 @@ func (s *Server) runJobCell(j *Job, c *jobCell) {
 	defer s.recordTrace(tr)
 	// Every cell of the sweep runs against the job's pinned version, so all
 	// of them (and any concurrent solves of that version) share one engine.
-	acq := tr.Start("engine_acquire")
-	en, releaseEngine, reused, err := s.engines.acquire(
-		engineKey{name: j.name, version: j.info.Version, opts: j.optsFP}, j.inst, j.opts)
-	acq.Annotate("engine", engineTemp(reused))
-	acq.End()
-	if err != nil {
-		j.finishCell(c, seio.CellFailed, seio.SolveResponse{}, err)
-		return
-	}
-	defer releaseEngine()
-	res, err := algo.WithEngine(sched, en).ScheduleCtx(span.NewContext(j.ctx, tr), j.inst, c.k)
+	resp, _, err := s.solveOn(span.NewContext(j.ctx, tr), tr, key.engine(), j.inst, j.opts,
+		seio.SolveResponse{Instance: j.info, Algorithm: c.algorithm, K: c.k},
+		schedule(sched, j.inst, c.k))
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.finishCell(c, seio.CellCancelled, seio.SolveResponse{}, err)
@@ -686,21 +671,6 @@ func (s *Server) runJobCell(j *Job, c *jobCell) {
 	case err != nil:
 		j.finishCell(c, seio.CellFailed, seio.SolveResponse{}, err)
 		return
-	}
-	s.scoreEvals.Add(res.ScoreEvals)
-	s.examined.Add(res.Examined)
-	bookSelect(tr, res.Elapsed)
-	enc := tr.Start("encode")
-	msg := seio.ScheduleMsgFrom(en.Scorer(), res.Schedule)
-	enc.End()
-	resp := seio.SolveResponse{
-		Instance:   j.info,
-		Algorithm:  c.algorithm,
-		K:          c.k,
-		Schedule:   msg,
-		ScoreEvals: res.ScoreEvals,
-		Examined:   res.Examined,
-		ElapsedMS:  seio.DurationMS(res.Elapsed),
 	}
 	s.cache.Put(key, resp)
 	s.appendSolveRecord(key, resp)

@@ -93,8 +93,8 @@ func (p *Pool) work() {
 
 // runJob is the worker's panic boundary: the store is memory-only, so one
 // panicking job must degrade to a failed request, never crash the daemon and
-// lose every uploaded instance. (runPooled installs its own recover first to
-// turn the panic into a 500; this one backstops direct Pool users.)
+// lose every uploaded instance. (Server.pooled installs its own recover first
+// to turn the panic into an error; this one backstops direct Pool users.)
 func (p *Pool) runJob(j job) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -120,25 +120,23 @@ func (s *Server) handleMutateBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, seio.BatchMutateResponse{Instance: info, Applied: applied})
 }
 
-// resolveCurrent solves the instance's CURRENT version with the exact-mode
-// incremental path: result-cache fast path first, then a pooled run on the
-// engine-cache's engine for that version — a warm delta rebuild when the
-// preceding mutation retired one. The bool reports whether the answer reused
-// prior state (cache hit, engine hit, or warm rebuild) versus a cold build.
-// Output and counters are bit-identical to a cold solve either way; only the
-// latency differs, which is what sesd_resolve_duration_seconds measures.
+// resolveCurrent solves the instance's CURRENT version: result-cache fast
+// path first, then a pooled run on the engine-cache's engine for that
+// version — a warm delta rebuild when the preceding mutation retired one. The
+// bool reports whether the answer reused prior state (cache hit, engine hit,
+// or warm rebuild) versus a cold build. Output and counters are bit-identical
+// to a cold solve either way; only the latency differs, which is what
+// sesd_resolve_duration_seconds measures.
 func (s *Server) resolveCurrent(ctx context.Context, name, algorithm string, k int, seed uint64) (seio.SolveResponse, bool, error) {
+	sched, err := algo.New(algorithm, seed)
+	if err != nil {
+		return seio.SolveResponse{}, false, err
+	}
 	inst, info, err := s.store.Get(name)
 	if err != nil {
 		return seio.SolveResponse{}, false, err
 	}
-	key := cacheKey{
-		name:      name,
-		version:   info.Version,
-		algorithm: algorithm,
-		k:         k,
-		seed:      seedKeyFor(algorithm, seed),
-	}
+	key := newCacheKey(name, info.Version, algorithm, k, seed, 0)
 	if resp, ok := s.cache.Get(key); ok {
 		resp.Cached = true
 		return resp, true, nil
@@ -159,62 +157,24 @@ func (s *Server) resolveCurrent(ctx context.Context, name, algorithm string, k i
 		slvErr error
 	)
 	start := time.Now()
-	done := make(chan struct{})
-	qs := tr.Start("queue")
 	// SubmitWait, not Submit: the subscribe loop owns a goroutine and wants
 	// the queue's backpressure to pace its re-solves, not fail them.
-	err = s.pool.SubmitWait(ctx, func() {
-		qs.End()
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil {
-				s.pool.panics.Add(1)
-				slvErr = fmt.Errorf("solver panicked: %v", r)
-			}
-		}()
-		acq := tr.Start("engine_acquire")
-		en, releaseEngine, reused, err := s.engines.acquire(
-			engineKey{name: name, version: info.Version}, inst, core.ScorerOptions{})
-		acq.Annotate("engine", engineTemp(reused))
-		acq.End()
-		if err != nil {
-			slvErr = err
-			return
+	err = s.pooled(ctx, s.pool.SubmitWait, func() {
+		resp, warm, slvErr = s.solveOn(ctx, tr, key.engine(), inst, core.ScorerOptions{},
+			seio.SolveResponse{Instance: info, Algorithm: algorithm, K: k},
+			schedule(sched, inst, k))
+		if slvErr == nil {
+			// A re-solve is bit-identical to a cold solve, so the result is a
+			// first-class citizen of the result cache and the solve WAL.
+			s.cache.Put(key, resp)
+			s.appendSolveRecord(key, resp)
 		}
-		defer releaseEngine()
-		res, _, err := algo.Resolve(ctx, algorithm, seed, en, k, nil, false)
-		if err != nil {
-			slvErr = err
-			return
-		}
-		warm = reused
-		s.scoreEvals.Add(res.ScoreEvals)
-		s.examined.Add(res.Examined)
-		bookSelect(tr, res.Elapsed)
-		resp = seio.SolveResponse{
-			Instance:   info,
-			Algorithm:  algorithm,
-			K:          k,
-			Schedule:   seio.ScheduleMsgFrom(en.Scorer(), res.Schedule),
-			ScoreEvals: res.ScoreEvals,
-			Examined:   res.Examined,
-			ElapsedMS:  seio.DurationMS(res.Elapsed),
-		}
-		// Exact mode is bit-identical to a cold solve, so the result is a
-		// first-class citizen of the result cache and the solve WAL.
-		s.cache.Put(key, resp)
-		s.appendSolveRecord(key, resp)
 	})
+	if err == nil {
+		err = slvErr
+	}
 	if err != nil {
 		return seio.SolveResponse{}, false, err
-	}
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return seio.SolveResponse{}, false, ctx.Err()
-	}
-	if slvErr != nil {
-		return seio.SolveResponse{}, false, slvErr
 	}
 	s.resolveSolves.Add(1)
 	if warm {

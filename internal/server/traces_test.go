@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -261,5 +262,47 @@ func TestSlowTraceTailSampling(t *testing.T) {
 	doc := scrape(t, c, ts.URL)
 	if strings.Contains(doc, "sesd_trace_slow_total 0\n") {
 		t.Error("sesd_trace_slow_total still zero")
+	}
+}
+
+// TestBackgroundSolveTraceStages checks the solves that mint their own root
+// trace — a subscribe re-solve and a sweep cell — record the same stage tree
+// as a request solve: engine acquisition, scoring, selection and encoding.
+func TestBackgroundSolveTraceStages(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2, Queue: 8})
+	c := ts.Client()
+	do(t, c, "PUT", ts.URL+"/instances/bg", testInstanceJSON(t, 3, 40, 17), http.StatusCreated, nil)
+
+	if _, _, err := srv.resolveCurrent(context.Background(), "bg", "HOR-I", 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	var st seio.JobStatusMsg
+	do(t, c, "POST", ts.URL+"/instances/bg/jobs",
+		jsonBody(t, seio.JobRequest{Algorithms: []string{"ALG"}, Ks: []int{2}}), http.StatusAccepted, &st)
+	pollJob(t, c, ts.URL, st.ID, 30*time.Second)
+
+	for _, route := range []string{"resolve", "job_cell"} {
+		var list TraceListResponse
+		// A sweep cell records its trace just after the cell turns done.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			do(t, c, "GET", ts.URL+"/debug/traces?route="+route+"&limit=1", nil, http.StatusOK, &list)
+			if len(list.Traces) > 0 || time.Now().After(deadline) {
+				break
+			}
+		}
+		if len(list.Traces) != 1 {
+			t.Fatalf("%s: %d traces stored, want 1", route, len(list.Traces))
+		}
+		var td span.TraceData
+		do(t, c, "GET", ts.URL+"/debug/traces/"+list.Traces[0].TraceID, nil, http.StatusOK, &td)
+		got := map[string]bool{}
+		for _, ch := range td.Root.Children {
+			got[ch.Name] = true
+		}
+		for _, want := range []string{"engine_acquire", "score", "select", "encode"} {
+			if !got[want] {
+				t.Errorf("%s trace lacks %q; children %v", route, want, got)
+			}
+		}
 	}
 }

@@ -3,7 +3,8 @@
 # subscription, stream mutations at it — single PATCHes and a batch POST —
 # and assert the pushed schedule events arrive at the right versions, that
 # the post-mutation re-solves are served by the warm (retired-engine) path,
-# and that the sesd_resolve_* metric families move accordingly. Run by CI;
+# that the newest re-solve trace carries every solve stage, and that the
+# sesd_resolve_* metric families move accordingly. Run by CI;
 # runnable locally: ./scripts/resolve_smoke.sh
 set -euo pipefail
 
@@ -106,6 +107,18 @@ jq -s -e '[.[] | (.warm // false)] == [false,true,true,true]' "$WORK/events.json
 # Every push carries a schedule; pushes 2..4 carry a delta section only when
 # the schedule actually changed, so just check the full schedule is present.
 jq -s -e 'all(.[]; (.schedule.assignments | length) > 0)' "$WORK/events.jsonl" >/dev/null
+
+echo "== traces: the newest re-solve has the full stage tree =="
+curl -sf "$BASE/debug/traces?route=resolve&limit=1" > "$WORK/traces.json"
+TRACE_ID="$(jq -r '.traces[0].trace_id' "$WORK/traces.json")"
+curl -sf "$BASE/debug/traces/$TRACE_ID" > "$WORK/trace.json"
+jq -e '[(.root.children // [])[].name] as $have
+  | ["queue","engine_acquire","score","select","encode"] | all(. as $s | $have | index($s))' \
+  "$WORK/trace.json" >/dev/null || {
+  echo "resolve trace lacks a stage (want queue, engine_acquire, score, select, encode):" >&2
+  jq -c '[(.root.children // [])[].name]' "$WORK/trace.json" >&2
+  exit 1
+}
 
 echo "== metrics: the resolve families moved =="
 curl -sf "$BASE/metrics" > "$WORK/metrics.txt"
