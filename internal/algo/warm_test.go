@@ -8,24 +8,14 @@ import (
 	"repro/internal/score"
 )
 
-// resolveMutate applies a small deterministic mutation for step i and
-// returns the scorer-level dirty set, mirroring what the server derives from
-// a MutateRequest.
-func resolveMutate(t *testing.T, inst *core.Instance, i int) core.ScorerDelta {
-	t.Helper()
-	nE, nT, nC := inst.NumEvents(), inst.NumIntervals(), inst.NumCompeting()
-	e := (i * 3) % nE
-	inst.SetInterest((i*7)%inst.NumUsers(), e, float64(i%10)/10)
-	d := core.ScorerDelta{Events: []int{e}}
-	if nC > 0 {
-		ci := (i * 5) % nC
-		inst.SetCompetingInterest((i*11)%inst.NumUsers(), ci, float64((i+3)%10)/10)
-		d.CompIntervals = []int{inst.Competing[ci].Interval}
+// resolveMutate applies a small deterministic mutation for step i, the way
+// the server applies a MutateRequest.
+func resolveMutate(inst *core.Instance, i int) {
+	inst.SetInterest((i*7)%inst.NumUsers(), (i*3)%inst.NumEvents(), float64(i%10)/10)
+	if nC := inst.NumCompeting(); nC > 0 {
+		inst.SetCompetingInterest((i*11)%inst.NumUsers(), (i*5)%nC, float64((i+3)%10)/10)
 	}
-	tt := (i * 2) % nT
-	inst.SetActivity((i*13)%inst.NumUsers(), tt, float64((i+5)%10)/10)
-	d.ActIntervals = []int{tt}
-	return core.ScorerDelta{}.Merge(d)
+	inst.SetActivity((i*13)%inst.NumUsers(), (i*2)%inst.NumIntervals(), float64((i+5)%10)/10)
 }
 
 func sameResult(t *testing.T, label string, warm, cold *Result) {
@@ -78,8 +68,8 @@ func TestResolveExactMatchesCold(t *testing.T) {
 		}
 		for step := 1; step <= 3; step++ {
 			next := inst.Snapshot()
-			d := resolveMutate(t, next, step)
-			w2, err := score.NewFromPrevious(warm, next, opts, d)
+			resolveMutate(next, step)
+			w2, err := score.NewFromPrevious(warm, next, opts, core.SnapshotDelta(inst, next))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,8 +12,8 @@
 //
 // Interest values are stored event-major, either as a dense float32 matrix
 // or — for the highly sparse interest structure of the real datasets — as
-// per-event nonzero lists (see sparse.go); activity is a dense float32
-// matrix. Every score computation is one pass over an event's users (the
+// per-event nonzero lists (see sparse.go); activity is dense float32
+// columns. Every score computation is one pass over an event's users (the
 // paper's "|U| computations per assignment score"), and the sparse kernels
 // reproduce the dense float64 accumulation bit for bit while touching only
 // nonzeros.
@@ -68,11 +68,12 @@ type Competing struct {
 //
 // Storage layout: interest is event-major (one contiguous column of |U|
 // values per event, candidate events first, then competing events) and
-// activity is interval-major. Every score computation scans all users of
-// one event and one interval (Eq. 1-4), so this layout turns the hot loop
-// into sequential reads — measured ~2-3× faster than the user-major layout
-// and, crucially, independent of the order algorithms enumerate
-// (event, interval) pairs.
+// activity is interval-major (one column per interval). Every score
+// computation scans all users of one event and one interval (Eq. 1-4), so
+// this layout turns the hot loop into sequential reads — measured ~2-3×
+// faster than the user-major layout and, crucially, independent of the
+// order algorithms enumerate (event, interval) pairs. The column is also the
+// unit of copy-on-write (see snapshot.go).
 type Instance struct {
 	Events    []Event
 	Intervals []Interval
@@ -82,22 +83,25 @@ type Instance struct {
 	Theta float64
 
 	numUsers int
-	// interest holds |E|+|C| columns of numUsers values each:
-	// interest[h*numUsers + u] is µ(u, h). nil when the instance is sparse.
-	interest []float32
-	// sparse, when non-nil, replaces the dense interest matrix with
+	// interest holds |E|+|C| dense columns of numUsers values each
+	// (candidate events first, then competing events): interest[h][u] is
+	// µ(u, h). nil when the instance is sparse.
+	interest [][]float32
+	// sparse, when non-nil, replaces the dense interest columns with
 	// per-column nonzero lists (see sparse.go); interest is then nil.
 	sparse []SparseCol
-	// activity holds |T| columns of numUsers values each:
-	// activity[t*numUsers + u] is σ(u, t). Activity stays dense in both
-	// representations: |T| is small (3k/2), so the σ matrix is a sliver of
-	// the dense interest footprint, and every Eq. 4 pass reads it anyway.
-	activity []float32
+	// activity holds |T| columns of numUsers values each: activity[t][u] is
+	// σ(u, t). Activity stays dense in both representations: |T| is small
+	// (3k/2), so the σ matrix is a sliver of the dense interest footprint,
+	// and every Eq. 4 pass reads it anyway.
+	activity [][]float32
 
-	// sharedInterest / sharedActivity mark the matrices as shared with a
-	// copy-on-write Snapshot; the next mutation copies before writing.
-	sharedInterest bool
-	sharedActivity bool
+	// ownedInterest / ownedActivity mark the columns this instance may
+	// write in place; every other column is shared with a copy-on-write
+	// Snapshot and is copied before its first write (see snapshot.go). nil
+	// means no column is owned.
+	ownedInterest []bool
+	ownedActivity []bool
 }
 
 // NewInstance allocates an instance with zeroed interest and activity
@@ -107,15 +111,39 @@ func NewInstance(events []Event, intervals []Interval, competing []Competing, nu
 	if err := validateShape(events, intervals, competing, numUsers, theta); err != nil {
 		return nil, err
 	}
+	nI := len(events) + len(competing)
+	return newInstance(events, intervals, competing, numUsers, theta,
+		splitCols(make([]float32, numUsers*nI), nI, numUsers), nil,
+		splitCols(make([]float32, numUsers*len(intervals)), len(intervals), numUsers)), nil
+}
+
+// newInstance assembles an instance that owns every column it is given.
+// Exactly one of interest and sparse is non-nil.
+func newInstance(events []Event, intervals []Interval, competing []Competing, numUsers int, theta float64,
+	interest [][]float32, sparse []SparseCol, activity [][]float32) *Instance {
 	return &Instance{
-		Events:    events,
-		Intervals: intervals,
-		Competing: competing,
-		Theta:     theta,
-		numUsers:  numUsers,
-		interest:  make([]float32, numUsers*(len(events)+len(competing))),
-		activity:  make([]float32, numUsers*len(intervals)),
-	}, nil
+		Events:        events,
+		Intervals:     intervals,
+		Competing:     competing,
+		Theta:         theta,
+		numUsers:      numUsers,
+		interest:      interest,
+		sparse:        sparse,
+		activity:      activity,
+		ownedInterest: allOwned(len(events) + len(competing)),
+		ownedActivity: allOwned(len(intervals)),
+	}
+}
+
+// splitCols views a contiguous column-major matrix as n columns of rows
+// values each. The columns share the one allocation until copy-on-write
+// replaces them one at a time.
+func splitCols(flat []float32, n, rows int) [][]float32 {
+	cols := make([][]float32, n)
+	for h := range cols {
+		cols[h] = flat[h*rows : (h+1)*rows : (h+1)*rows]
+	}
+	return cols
 }
 
 // validateShape checks the structural constructor arguments shared by the
@@ -158,24 +186,12 @@ func (in *Instance) NumIntervals() int { return len(in.Intervals) }
 // NumCompeting returns |C|.
 func (in *Instance) NumCompeting() int { return len(in.Competing) }
 
-// interestCol returns the contiguous user column of interest value h
-// (candidate event index, or len(Events)+competing index). Dense instances
-// only; sparse callers iterate in.sparse[h] instead.
-func (in *Instance) interestCol(h int) []float32 {
-	return in.interest[h*in.numUsers : (h+1)*in.numUsers]
-}
-
 // interestAt returns µ(u, h) in either representation.
 func (in *Instance) interestAt(user, h int) float64 {
 	if in.sparse != nil {
 		return float64(in.sparse[h].get(user))
 	}
-	return float64(in.interest[h*in.numUsers+user])
-}
-
-// activityCol returns the contiguous user column of interval t.
-func (in *Instance) activityCol(t int) []float32 {
-	return in.activity[t*in.numUsers : (t+1)*in.numUsers]
+	return float64(in.interest[h][user])
 }
 
 // Interest returns µ(u, e) for candidate event e. On a sparse instance the
@@ -192,7 +208,7 @@ func (in *Instance) CompetingInterest(user, comp int) float64 {
 // Activity returns σ(u, t), the social activity probability of user u
 // during interval t.
 func (in *Instance) Activity(user, interval int) float64 {
-	return float64(in.activity[interval*in.numUsers+user])
+	return float64(in.activity[interval][user])
 }
 
 // SetInterest sets µ(u, e) for candidate event e. Values outside [0,1] are an
@@ -211,18 +227,18 @@ func (in *Instance) SetCompetingInterest(user, comp int, v float64) {
 // setInterestAt writes µ(u, h) in either representation. Sparse columns never
 // store explicit zeros: a zero write removes the entry.
 func (in *Instance) setInterestAt(user, h int, v float32) {
-	in.ownInterest()
+	in.ownInterestCol(h)
 	if in.sparse != nil {
 		in.sparse[h].set(user, v)
 		return
 	}
-	in.interest[h*in.numUsers+user] = v
+	in.interest[h][user] = v
 }
 
 // SetActivity sets σ(u, t).
 func (in *Instance) SetActivity(user, interval int, v float64) {
-	in.ownActivity()
-	in.activity[interval*in.numUsers+user] = float32(v)
+	in.ownActivityCol(interval)
+	in.activity[interval][user] = float32(v)
 }
 
 // SetInterestRow scatters user u's full interest row (|E| candidate-event
@@ -233,15 +249,8 @@ func (in *Instance) SetInterestRow(user int, row []float32) {
 	if len(row) != len(in.Events)+len(in.Competing) {
 		panic(fmt.Sprintf("core: interest row has %d values, want %d", len(row), len(in.Events)+len(in.Competing)))
 	}
-	in.ownInterest()
-	if in.sparse != nil {
-		for h, v := range row {
-			in.sparse[h].set(user, v)
-		}
-		return
-	}
 	for h, v := range row {
-		in.interest[h*in.numUsers+user] = v
+		in.setInterestAt(user, h, v)
 	}
 }
 
@@ -250,9 +259,9 @@ func (in *Instance) SetActivityRow(user int, row []float32) {
 	if len(row) != len(in.Intervals) {
 		panic(fmt.Sprintf("core: activity row has %d values, want %d", len(row), len(in.Intervals)))
 	}
-	in.ownActivity()
 	for t, v := range row {
-		in.activity[t*in.numUsers+user] = v
+		in.ownActivityCol(t)
+		in.activity[t][user] = v
 	}
 }
 
@@ -266,14 +275,14 @@ func (in *Instance) CopyInterestRow(user int, dst []float32) {
 		return
 	}
 	for h := range dst {
-		dst[h] = in.interest[h*in.numUsers+user]
+		dst[h] = in.interest[h][user]
 	}
 }
 
 // CopyActivityRow gathers user u's activity row into dst (length |T|).
 func (in *Instance) CopyActivityRow(user int, dst []float32) {
 	for t := range dst {
-		dst[t] = in.activity[t*in.numUsers+user]
+		dst[t] = in.activity[t][user]
 	}
 }
 
@@ -310,14 +319,18 @@ func (in *Instance) Validate() error {
 			}
 		}
 	}
-	for i, v := range in.interest {
-		if !(v >= 0 && v <= 1) {
-			return fmt.Errorf("core: interest value %v for user %d out of [0,1]", v, i%in.numUsers)
+	for _, col := range in.interest {
+		for u, v := range col {
+			if !(v >= 0 && v <= 1) {
+				return fmt.Errorf("core: interest value %v for user %d out of [0,1]", v, u)
+			}
 		}
 	}
-	for i, v := range in.activity {
-		if !(v >= 0 && v <= 1) {
-			return fmt.Errorf("core: activity value %v for user %d out of [0,1]", v, i%in.numUsers)
+	for _, col := range in.activity {
+		for u, v := range col {
+			if !(v >= 0 && v <= 1) {
+				return fmt.Errorf("core: activity value %v for user %d out of [0,1]", v, u)
+			}
 		}
 	}
 	return in.ValidateStructure()

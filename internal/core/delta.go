@@ -2,21 +2,22 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// ScorerDelta names the parts of a Scorer's precompute that one instance
-// mutation dirtied, at the granularity the precompute is stored: interest
-// edits dirty candidate-event columns, competing edits (and newly announced
-// competing events) dirty per-interval competing sums, activity edits dirty
-// per-interval activity columns. It is the contract between the mutation
-// path (which knows what changed) and NewScorerFromDelta / the scoring
-// engine's warm rebuild (which know what each change invalidates).
+// ScorerDelta names the parts of a Scorer's precompute that differ between
+// two snapshots of one instance chain, at the granularity the precompute is
+// stored: interest edits dirty candidate-event columns, competing edits (and
+// newly announced competing events) dirty per-interval competing sums,
+// activity edits dirty per-interval activity columns. It is the contract
+// between the snapshot chain (SnapshotDelta reads it off the shared
+// columns) and NewScorerFromDelta / the scoring engine's warm rebuild
+// (which know what each change invalidates).
 //
-// Completeness is the caller's obligation: an index missing from the delta
-// makes the warm scorer silently reuse stale state. Indices may repeat and
-// arrive unsorted; out-of-range indices are rejected (the warm build fails
-// and the caller falls back to a cold one).
+// A delta built by hand must be complete: an index missing from it makes the
+// warm scorer silently reuse stale state. Indices may repeat and arrive
+// unsorted; out-of-range indices are rejected (the warm build fails and the
+// caller falls back to a cold one).
 type ScorerDelta struct {
 	// Events lists candidate events whose interest column changed.
 	// The Scorer itself stores no per-event state — interest columns live
@@ -38,34 +39,77 @@ func (d ScorerDelta) Empty() bool {
 	return len(d.Events) == 0 && len(d.CompIntervals) == 0 && len(d.ActIntervals) == 0
 }
 
-// Merge returns the union of two deltas (successive mutations compose by
-// accumulating dirtiness). The result is normalized: sorted, deduplicated.
-func (d ScorerDelta) Merge(o ScorerDelta) ScorerDelta {
-	return ScorerDelta{
-		Events:        mergeIndexSets(d.Events, o.Events),
-		CompIntervals: mergeIndexSets(d.CompIntervals, o.CompIntervals),
-		ActIntervals:  mergeIndexSets(d.ActIntervals, o.ActIntervals),
+// SnapshotDelta returns the dirty set from prev to next, two snapshots of
+// one instance chain, sorted and deduplicated. A column is clean exactly
+// when both instances hold the same backing column (or both columns are
+// empty): copy-on-write gives a column a fresh backing before its first
+// write, so a shared backing is an unchanged column, and the comparison
+// costs O(|E|+|C|+|T|) whatever |U| is. A competing-sum interval is dirty
+// when any of its competing columns, or its competing membership, differs.
+//
+// The report is sound for any pair of instances, since a shared backing
+// holds the same values on both sides; unrelated instances simply come back
+// all dirty. A shape or representation mismatch reports every index of
+// next dirty.
+func SnapshotDelta(prev, next *Instance) ScorerDelta {
+	nE, nT := next.NumEvents(), next.NumIntervals()
+	if prev.numUsers != next.numUsers || prev.NumEvents() != nE || prev.NumIntervals() != nT ||
+		prev.IsSparse() != next.IsSparse() {
+		return ScorerDelta{Events: upTo(nE), CompIntervals: upTo(nT), ActIntervals: upTo(nT)}
 	}
+	var d ScorerDelta
+	for e := 0; e < nE; e++ {
+		if !sameInterestCol(prev, next, e) {
+			d.Events = append(d.Events, e)
+		}
+	}
+	dirtyComp := make([]bool, nT)
+	for c := 0; c < max(prev.NumCompeting(), next.NumCompeting()); c++ {
+		switch {
+		case c >= next.NumCompeting():
+			dirtyComp[prev.Competing[c].Interval] = true
+		case c >= prev.NumCompeting():
+			dirtyComp[next.Competing[c].Interval] = true
+		case prev.Competing[c].Interval != next.Competing[c].Interval:
+			dirtyComp[prev.Competing[c].Interval] = true
+			dirtyComp[next.Competing[c].Interval] = true
+		case !sameInterestCol(prev, next, nE+c):
+			dirtyComp[next.Competing[c].Interval] = true
+		}
+	}
+	for t := 0; t < nT; t++ {
+		if dirtyComp[t] {
+			d.CompIntervals = append(d.CompIntervals, t)
+		}
+		if !sameBacking(prev.activity[t], next.activity[t]) {
+			d.ActIntervals = append(d.ActIntervals, t)
+		}
+	}
+	return d
 }
 
-// mergeIndexSets unions two index lists into a sorted, deduplicated copy.
-func mergeIndexSets(a, b []int) []int {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
+// sameInterestCol reports whether interest column h of a and b (same
+// representation) is one backing column.
+func sameInterestCol(a, b *Instance, h int) bool {
+	if a.sparse != nil {
+		return sameBacking(a.sparse[h].Users, b.sparse[h].Users) && sameBacking(a.sparse[h].Mu, b.sparse[h].Mu)
 	}
-	out := make([]int, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.Ints(out)
-	w := 0
-	for i, v := range out {
-		if i > 0 && v == out[w-1] {
-			continue
-		}
-		out[w] = v
-		w++
+	return sameBacking(a.interest[h], b.interest[h])
+}
+
+// sameBacking reports whether two slices view the same memory, counting any
+// two empty slices as the same.
+func sameBacking[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// upTo returns 0, 1, ..., n-1.
+func upTo(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	return out[:w]
+	return out
 }
 
 // validate rejects out-of-range indices against the instance's shape.
@@ -107,18 +151,20 @@ func markSet(idx []int, n int) []bool {
 //     NewScorer's accumulation restricted to that interval, which adds the
 //     interval's competing columns in the same ascending-index order the
 //     cold build does.
-//   - with UserWeights, clean weighted-activity columns are copied from
+//   - with UserWeights, clean weighted-activity columns are shared with
 //     prev and dirty ones recomputed cell by cell; each cell is a single
 //     independent multiply, so per-column rebuild matches the cold build.
 //   - on a sparse instance, clean events share prev's shard-offset columns
 //     and dirty ones are rebuilt (see shardOffsets).
 //
-// prev must have been built for the previous snapshot of the same instance
-// chain with the same options (same UserWeights/EventCost values); shape or
-// option mismatches return an error and the caller should fall back to a
-// cold build. Mutations never change |E|, |T| or |U| (AddCompeting grows
-// |C|, which only dirties its interval's competing sum), so a shape
-// mismatch means the delta does not describe prev→inst.
+// prev must have been built for an earlier snapshot of the same instance
+// chain, not written since, with the same options (same
+// UserWeights/EventCost values); d is normally SnapshotDelta(prev's
+// instance, inst). Shape or option mismatches return an error and the
+// caller should fall back to a cold build. Mutations never change |E|, |T|
+// or |U| (AddCompeting grows |C|, which only dirties its interval's
+// competing sum), so a shape mismatch means the delta does not describe
+// prev→inst.
 func NewScorerFromDelta(prev *Scorer, inst *Instance, opts ScorerOptions, d ScorerDelta) (*Scorer, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("core: warm scorer build without a previous scorer")
@@ -173,15 +219,11 @@ func NewScorerFromDelta(prev *Scorer, inst *Instance, opts ScorerOptions, d Scor
 	}
 
 	if opts.UserWeights != nil {
-		sc.act = make([]float32, len(inst.activity))
-		copy(sc.act, prev.act)
-		nU := inst.NumUsers()
+		// Weighted columns are never written after construction: clean
+		// ones are shared, dirty ones recomputed.
+		sc.act = slices.Clone(prev.act)
 		for _, t := range d.ActIntervals {
-			src := inst.activityCol(t)
-			dst := sc.act[t*nU : (t+1)*nU]
-			for u := range dst {
-				dst[u] = src[u] * float32(opts.UserWeights[u])
-			}
+			sc.act[t] = weightedActivity(inst.activity[t], opts.UserWeights)
 		}
 	}
 

@@ -1,30 +1,25 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 // mutateChainStep applies one mixed mutation to a snapshot of inst and
-// returns the successor plus the delta describing it. Step index varies the
-// touched cells so successive steps dirty different parts.
+// returns the successor plus the delta the snapshot chain reports for it.
+// Step index varies the touched cells so successive steps dirty different
+// parts.
 func mutateChainStep(t *testing.T, inst *Instance, step int) (*Instance, ScorerDelta) {
 	t.Helper()
 	next := inst.Snapshot()
 	nE, nT, nU := next.NumEvents(), next.NumIntervals(), next.NumUsers()
-	e1 := step % nE
-	e2 := (step*3 + 1) % nE
-	next.SetInterest(step%nU, e1, 0.73)
-	next.SetInterest((step+2)%nU, e2, 0)
-	d := ScorerDelta{Events: []int{e1, e2}}
+	next.SetInterest(step%nU, step%nE, 0.73)
+	next.SetInterest((step+2)%nU, (step*3+1)%nE, 0)
 	if next.NumCompeting() > 0 {
-		c := step % next.NumCompeting()
-		next.SetCompetingInterest((step+1)%nU, c, 0.31)
-		d.CompIntervals = append(d.CompIntervals, next.Competing[c].Interval)
+		next.SetCompetingInterest((step+1)%nU, step%next.NumCompeting(), 0.31)
 	}
-	ta := (step * 2) % nT
-	next.SetActivity((step+3)%nU, ta, 0.57)
-	d.ActIntervals = append(d.ActIntervals, ta)
+	next.SetActivity((step+3)%nU, (step*2)%nT, 0.57)
 	if step%2 == 1 {
 		col := make([]float32, nU)
 		for u := range col {
@@ -36,9 +31,8 @@ func mutateChainStep(t *testing.T, inst *Instance, step int) (*Instance, ScorerD
 		if err := next.AddCompeting(Competing{Interval: tc}, col); err != nil {
 			t.Fatal(err)
 		}
-		d.CompIntervals = append(d.CompIntervals, tc)
 	}
-	return next, d
+	return next, SnapshotDelta(inst, next)
 }
 
 // sameScorerBits asserts the two scorers hold bitwise-identical precompute
@@ -60,9 +54,11 @@ func sameScorerBits(t *testing.T, cold, warm *Scorer) {
 	if (cold.act == nil) != (warm.act == nil) {
 		t.Fatalf("weighted activity nil-ness differs")
 	}
-	for i := range cold.act {
-		if cold.act[i] != warm.act[i] {
-			t.Fatalf("act[%d]: cold=%x warm=%x", i, cold.act[i], warm.act[i])
+	for tt := range cold.act {
+		for u := range cold.act[tt] {
+			if cold.act[tt][u] != warm.act[tt][u] {
+				t.Fatalf("act[%d][%d]: cold=%x warm=%x", tt, u, cold.act[tt][u], warm.act[tt][u])
+			}
 		}
 	}
 	// Probe Eq. 4 end to end: empty schedule, then a partially filled one.
@@ -139,28 +135,44 @@ func TestNewScorerFromDeltaBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScorerDeltaMerge: merging normalizes (sorted, deduplicated) and unions.
-func TestScorerDeltaMerge(t *testing.T) {
-	a := ScorerDelta{Events: []int{3, 1}, CompIntervals: []int{2}}
-	b := ScorerDelta{Events: []int{1, 0}, ActIntervals: []int{1, 1}}
-	m := a.Merge(b)
-	want := ScorerDelta{Events: []int{0, 1, 3}, CompIntervals: []int{2}, ActIntervals: []int{1}}
-	eq := func(x, y []int) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
+// TestSnapshotDeltaNormalized: the snapshot chain reports exactly the
+// touched columns, sorted and deduplicated, in both representations; an
+// untouched snapshot is clean and unrelated instances are all dirty.
+func TestSnapshotDeltaNormalized(t *testing.T) {
+	dense, sparse := buildPair(t, 5, 6, 4, 3, 40, 0.5)
+	for name, inst := range map[string]*Instance{"dense": dense, "sparse": sparse} {
+		t.Run(name, func(t *testing.T) {
+			if d := SnapshotDelta(inst, inst.Snapshot()); !d.Empty() {
+				t.Fatalf("untouched snapshot reported dirty: %+v", d)
 			}
-		}
-		return true
-	}
-	if !eq(m.Events, want.Events) || !eq(m.CompIntervals, want.CompIntervals) || !eq(m.ActIntervals, want.ActIntervals) {
-		t.Fatalf("merge = %+v, want %+v", m, want)
-	}
-	if !(ScorerDelta{}).Empty() || m.Empty() {
-		t.Fatal("Empty() misreports")
+			next := inst.Snapshot()
+			next.SetInterest(1, 4, 0.5)
+			next.SetInterest(2, 1, 0.5)
+			next.SetInterest(3, 4, 0.25)
+			for c := 0; c < next.NumCompeting(); c++ {
+				next.SetCompetingInterest(0, c, 0.5)
+			}
+			next.SetActivity(0, 3, 0.5)
+			next.SetActivity(9, 3, 0.5)
+			var comp []int
+			for ti := 0; ti < inst.NumIntervals(); ti++ {
+				if len(inst.CompetingAt(ti)) > 0 {
+					comp = append(comp, ti)
+				}
+			}
+			got := SnapshotDelta(inst, next)
+			want := ScorerDelta{Events: []int{1, 4}, CompIntervals: comp, ActIntervals: []int{3}}
+			if !slices.Equal(got.Events, want.Events) || !slices.Equal(got.CompIntervals, want.CompIntervals) ||
+				!slices.Equal(got.ActIntervals, want.ActIntervals) {
+				t.Fatalf("SnapshotDelta = %+v, want %+v", got, want)
+			}
+			od, os := buildPair(t, 5, 6, 4, 3, 40, 0.5)
+			other := map[string]*Instance{"dense": od, "sparse": os}[name]
+			all := SnapshotDelta(inst, other)
+			if len(all.Events) != inst.NumEvents() || len(all.ActIntervals) != inst.NumIntervals() {
+				t.Fatalf("unrelated instance reported partly clean: %+v", all)
+			}
+		})
 	}
 }
 

@@ -69,9 +69,13 @@ func (in *Instance) Digest() string {
 			writeFloat32s(h, in.sparse[hcol].Mu)
 		}
 	} else {
-		writeFloat32s(h, in.interest)
+		for _, col := range in.interest {
+			writeFloat32s(h, col)
+		}
 	}
-	writeFloat32s(h, in.activity)
+	for _, col := range in.activity {
+		writeFloat32s(h, col)
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -54,7 +54,7 @@ func (sc *Scorer) scoreUserRange(s *Schedule, e, t, lo, hi int) float64 {
 // denomEps (score.go) for why the denominators carry an epsilon instead of a
 // zero-check branch.
 func (sc *Scorer) denseScoreRange(s *Schedule, e, t, lo, hi int) float64 {
-	mu := sc.inst.interestCol(e)[lo:hi]
+	mu := sc.inst.interest[e][lo:hi]
 	act := sc.scoreActivityCol(t)[lo:hi]
 	comp := sc.compSum[t]
 	assigned := s.assignedInterestSum(t)

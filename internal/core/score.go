@@ -16,9 +16,10 @@ type Scorer struct {
 	// compSum[t][u] = Σ_{c∈C_t} µ(u, c); nil for intervals with no
 	// competing events (treated as all zeros).
 	compSum [][]float64
-	// act, when non-nil, replaces the instance's activity matrix with a
-	// user-weighted copy (ScorerOptions.UserWeights).
-	act []float32
+	// act, when non-nil, replaces the instance's activity columns with
+	// user-weighted copies (ScorerOptions.UserWeights), one per interval.
+	// Immutable after construction, so warm rebuilds share clean columns.
+	act [][]float32
 	// cost, when non-nil, holds per-event organization costs subtracted
 	// from scores and utility (the profit-oriented variant).
 	cost []float64
@@ -165,7 +166,7 @@ func (sc *Scorer) EventAttendance(s *Schedule, e int) float64 {
 		}
 		return total
 	}
-	mu := inst.interestCol(e)
+	mu := inst.interest[e]
 	for u, mf := range mu {
 		m := float64(mf)
 		if m == 0 {

@@ -1,69 +1,92 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Copy-on-write snapshots.
 //
-// A Snapshot is an O(1) frozen view of an instance: it shares the interest
-// and activity matrices with the original until either side mutates them, at
-// which point the mutating side copies the matrix it is about to write
-// (matrix-granularity copy-on-write). This is the concurrency contract the
-// server's versioned instance store is built on: in-flight solves keep
-// reading the snapshot they started with while the store publishes a mutated
-// successor version — the same read-your-snapshot idiom persistent stores
-// like ebakusdb use for safe concurrent reads during transactions.
+// A Snapshot is a frozen view of an instance: it shares every interest and
+// activity column with the original until either side writes one, at which
+// point the writing side copies that column alone (column-granularity
+// copy-on-write). A one-cell mutation therefore costs one column copy, not a
+// matrix copy. This is the concurrency contract the server's versioned
+// instance store is built on: in-flight solves keep reading the snapshot
+// they started with while the store publishes a mutated successor version —
+// the same read-your-snapshot idiom persistent stores like ebakusdb use for
+// safe concurrent reads during transactions.
+//
+// Shared columns are also what SnapshotDelta reads: two snapshots of one
+// chain that hold the same backing column hold the same values in it.
 //
 // Snapshot and the mutating accessors must be externally serialized with
 // each other (the store holds a lock across them). Concurrent *readers* of
-// already-published snapshots need no synchronization: a published snapshot's
-// matrices are never written again — any later mutation writes to a fresh
-// copy owned by the successor.
+// already-published snapshots need no synchronization: a published
+// snapshot's columns are never written again — any later mutation writes to
+// a fresh copy owned by the successor.
 
-// Snapshot returns an O(1) copy-on-write snapshot of the instance. Both the
-// receiver and the snapshot keep sharing the matrices; the first mutation on
-// either side copies the affected matrix, so neither can observe the other's
+// Snapshot returns a copy-on-write snapshot of the instance in
+// O(|E|+|C|+|T|): only the column headers are cloned. Both the receiver and
+// the snapshot keep sharing every column; the first write on either side
+// copies the column it touches, so neither can observe the other's
 // subsequent writes. Metadata slices (Events, Intervals, Competing) share
 // backing arrays too; mutators that change them (AddCompeting) copy first.
 func (in *Instance) Snapshot() *Instance {
-	in.sharedInterest = true
-	in.sharedActivity = true
+	in.ownedInterest, in.ownedActivity = nil, nil
 	cp := *in
+	cp.interest = slices.Clone(in.interest)
+	cp.sparse = slices.Clone(in.sparse)
+	cp.activity = slices.Clone(in.activity)
 	return &cp
 }
 
-// ownInterest makes the interest matrix exclusively owned, copying it if it
-// is still shared with a snapshot. For sparse instances the copy is a deep
-// copy of every column's nonzero lists — O(nonzeros), the sparse analogue of
-// the dense O(cells) matrix copy.
-func (in *Instance) ownInterest() {
-	if !in.sharedInterest {
+// allOwned returns an ownership set marking all n columns owned.
+func allOwned(n int) []bool {
+	owned := make([]bool, n)
+	for i := range owned {
+		owned[i] = true
+	}
+	return owned
+}
+
+// claim marks column i of n owned and reports whether it already was.
+func claim(owned *[]bool, n, i int) bool {
+	if *owned == nil {
+		*owned = make([]bool, n)
+	}
+	was := (*owned)[i]
+	(*owned)[i] = true
+	return was
+}
+
+// ownInterestCol makes interest column h exclusively owned, copying it if it
+// is still shared with a snapshot: |U| cells for a dense column, its
+// nonzeros for a sparse one.
+func (in *Instance) ownInterestCol(h int) {
+	if claim(&in.ownedInterest, len(in.Events)+len(in.Competing), h) {
 		return
 	}
 	if in.sparse != nil {
-		cols := make([]SparseCol, len(in.sparse))
-		for h := range in.sparse {
-			cols[h] = in.sparse[h].clone()
-		}
-		in.sparse = cols
+		in.sparse[h] = in.sparse[h].clone()
 	} else {
-		in.interest = append([]float32(nil), in.interest...)
+		in.interest[h] = slices.Clone(in.interest[h])
 	}
-	in.sharedInterest = false
 }
 
-// ownActivity makes the activity matrix exclusively owned.
-func (in *Instance) ownActivity() {
-	if in.sharedActivity {
-		in.activity = append([]float32(nil), in.activity...)
-		in.sharedActivity = false
+// ownActivityCol makes activity column t exclusively owned.
+func (in *Instance) ownActivityCol(t int) {
+	if !claim(&in.ownedActivity, len(in.activity), t) {
+		in.activity[t] = slices.Clone(in.activity[t])
 	}
 }
 
 // AddCompeting appends a competing event together with the per-user interest
-// column µ(·, c) (length |U|, values in [0, 1]). The interest matrix grows by
-// one column; the metadata slice and the matrix are copied, never mutated in
-// place, so existing snapshots are unaffected. It is the mutation behind the
-// server's "a third-party event just got announced" what-if updates.
+// column µ(·, c) (length |U|, values in [0, 1]). The instance gains one
+// owned column; existing columns and the metadata slice shared with
+// snapshots are left untouched, so existing snapshots are unaffected. It is
+// the mutation behind the server's "a third-party event just got announced"
+// what-if updates.
 func (in *Instance) AddCompeting(c Competing, interest []float32) error {
 	if c.Interval < 0 || c.Interval >= len(in.Intervals) {
 		return fmt.Errorf("core: competing event references interval %d, have %d intervals", c.Interval, len(in.Intervals))
@@ -78,6 +101,7 @@ func (in *Instance) AddCompeting(c Competing, interest []float32) error {
 			return fmt.Errorf("core: competing interest value %v for user %d out of [0,1]", v, u)
 		}
 	}
+	h := len(in.Events) + len(in.Competing)
 	if in.sparse != nil {
 		var col SparseCol
 		for u, v := range interest {
@@ -86,19 +110,14 @@ func (in *Instance) AddCompeting(c Competing, interest []float32) error {
 				col.Mu = append(col.Mu, v)
 			}
 		}
-		// ownInterest deep-copies the columns only while they are still
-		// shared with a snapshot; appending to an exclusively owned slice
-		// needs no clone (the dense path's full-matrix copy is what pays
-		// for contiguity, which columns don't have).
-		in.ownInterest()
 		in.sparse = append(in.sparse, col)
 	} else {
-		grown := make([]float32, 0, len(in.interest)+in.numUsers)
-		grown = append(grown, in.interest...)
-		grown = append(grown, interest...)
-		in.interest = grown
+		in.interest = append(in.interest, slices.Clone(interest))
 	}
-	in.sharedInterest = false
+	if in.ownedInterest == nil {
+		in.ownedInterest = make([]bool, h)
+	}
+	in.ownedInterest = append(in.ownedInterest, true)
 	in.Competing = append(append([]Competing(nil), in.Competing...), c)
 	return nil
 }

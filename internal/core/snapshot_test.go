@@ -147,3 +147,50 @@ func TestDigest(t *testing.T) {
 		t.Error("metadata change did not change the digest")
 	}
 }
+
+// TestDigestGolden pins the Digest of a dense and a sparse instance through
+// an interest edit, an activity edit and an AddCompeting. WAL records carry
+// these digests, so any change to the hashed byte stream — a storage layout
+// change included — would make old records fail verification on replay.
+func TestDigestGolden(t *testing.T) {
+	dense, sparse := buildPair(t, 23, 6, 4, 3, 50, 0.4)
+	want := map[string][4]string{
+		"dense": {
+			"4c092d5be7199ed407dadfc78eb8901b9d5f45d039d6051c0a24ccff5eaf6013",
+			"8927b43289069a5da50d376da2ec131952d49c3a791f34eb767b2caa4c0b9cb2",
+			"61cec29e4ae46333e3464aae8d53a7735aada885015c46daccfcbed1885339b6",
+			"025f2c118081bc26f3291edc147ee31571938b220a6631f680ec7a1f132bd9c7",
+		},
+		"sparse": {
+			"efe34b005a6d8146189108610e33f5d02eb092b8cb15fb0824854658804e7ad5",
+			"3afe50e6bb7852e1908383fffe6c2e48286655c174ee962712fc0ffc3ee2ba2f",
+			"9e3d1efcf090d5fd0a0135a88d9b4d02265866481a4889a3f62c5ff1209cd8f8",
+			"35e362c6ec7840c327733f041d7244cd1db7ed22f5bfc6840a2199f881a0ac43",
+		},
+	}
+	for name, inst := range map[string]*Instance{"dense": dense, "sparse": sparse} {
+		t.Run(name, func(t *testing.T) {
+			w := want[name]
+			next := inst.Snapshot()
+			next.SetInterest(7, 2, 0.625)
+			edited := next.Digest()
+			next.SetActivity(11, 3, 0.375)
+			active := next.Digest()
+			col := make([]float32, next.NumUsers())
+			for u := range col {
+				if u%4 == 0 {
+					col[u] = 0.5
+				}
+			}
+			if err := next.AddCompeting(Competing{Name: "late", Interval: 1, Start: 10, End: 20}, col); err != nil {
+				t.Fatal(err)
+			}
+			got := [4]string{inst.Digest(), edited, active, next.Digest()}
+			for i, label := range []string{"base", "interest edit", "activity edit", "AddCompeting"} {
+				if got[i] != w[i] {
+					t.Errorf("%s digest after %s = %s, want %s", name, label, got[i], w[i])
+				}
+			}
+		})
+	}
+}

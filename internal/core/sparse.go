@@ -121,9 +121,11 @@ func (in *Instance) InterestNonzeros() int64 {
 		return n
 	}
 	var n int64
-	for _, v := range in.interest {
-		if v != 0 {
-			n++
+	for _, col := range in.interest {
+		for _, v := range col {
+			if v != 0 {
+				n++
+			}
 		}
 	}
 	return n
@@ -162,15 +164,8 @@ func NewInstanceSparse(events []Event, intervals []Interval, competing []Competi
 			return nil, err
 		}
 	}
-	return &Instance{
-		Events:    events,
-		Intervals: intervals,
-		Competing: competing,
-		Theta:     theta,
-		numUsers:  numUsers,
-		sparse:    cols,
-		activity:  make([]float32, numUsers*len(intervals)),
-	}, nil
+	return newInstance(events, intervals, competing, numUsers, theta, nil, cols,
+		splitCols(make([]float32, numUsers*len(intervals)), len(intervals), numUsers)), nil
 }
 
 // Rep selects the interest-matrix representation of a built instance.
@@ -350,19 +345,12 @@ func (b *Builder) Build() (*Instance, error) {
 	if b.rep == RepAuto && b.dense == nil && b.density() > autoSparseMaxDensity {
 		b.densify()
 	}
-	in := &Instance{
-		Events:    b.events,
-		Intervals: b.intervals,
-		Competing: b.competing,
-		Theta:     b.theta,
-		numUsers:  b.numUsers,
-		activity:  b.activity,
-	}
+	var dense [][]float32
 	if b.dense != nil {
-		in.interest = b.dense
-	} else {
-		in.sparse = b.cols
+		dense = splitCols(b.dense, len(b.events)+len(b.competing), b.numUsers)
 	}
+	in := newInstance(b.events, b.intervals, b.competing, b.numUsers, b.theta, dense, b.cols,
+		splitCols(b.activity, len(b.intervals), b.numUsers))
 	b.dense, b.cols, b.activity = nil, nil, nil // the instance owns them now
 	return in, nil
 }
@@ -382,7 +370,7 @@ func (in *Instance) addInterestColInto(h int, dst []float64) {
 		}
 		return
 	}
-	for u, v := range in.interestCol(h) {
+	for u, v := range in.interest[h] {
 		dst[u] += float64(v)
 	}
 }
@@ -396,7 +384,7 @@ func (in *Instance) subInterestColInto(h int, dst []float64) {
 		}
 		return
 	}
-	for u, v := range in.interestCol(h) {
+	for u, v := range in.interest[h] {
 		dst[u] -= float64(v)
 	}
 }
@@ -413,10 +401,10 @@ func (in *Instance) ScaleCompetingInterest(scale float64) {
 	if scale < 0 {
 		panic("core: negative competing-interest scale")
 	}
-	in.ownInterest()
 	base := len(in.Events)
 	if in.sparse != nil {
 		for h := base; h < len(in.sparse); h++ {
+			in.ownInterestCol(h)
 			col := &in.sparse[h]
 			out := 0
 			for i := range col.Users {
@@ -433,8 +421,9 @@ func (in *Instance) ScaleCompetingInterest(scale float64) {
 		}
 		return
 	}
-	for h := base; h < len(in.Events)+len(in.Competing); h++ {
-		col := in.interestCol(h)
+	for h := base; h < len(in.interest); h++ {
+		in.ownInterestCol(h)
+		col := in.interest[h]
 		for u, m := range col {
 			v := float64(m) * scale
 			if v > 1 {

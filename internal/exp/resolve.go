@@ -11,16 +11,12 @@ import (
 )
 
 // resolveMutation applies a small deterministic edit for chain step i — one
-// interest row, one activity column — and returns the scorer-level dirty
-// set, mirroring what sesd derives from a PATCH body. This is the
-// steady-state streaming workload: a handful of cells move, the rest of the
-// million-user instance stands still.
-func resolveMutation(inst *core.Instance, i int) core.ScorerDelta {
-	e := (i * 7) % inst.NumEvents()
-	t := (i * 3) % inst.NumIntervals()
-	inst.SetInterest((i*13)%inst.NumUsers(), e, float64(i%10)/10)
-	inst.SetActivity((i*17)%inst.NumUsers(), t, float64((i+4)%10)/10)
-	return core.ScorerDelta{}.Merge(core.ScorerDelta{Events: []int{e}, ActIntervals: []int{t}})
+// interest cell, one activity cell — the way sesd applies a PATCH body. This
+// is the steady-state streaming workload: a handful of cells move, the rest
+// of the million-user instance stands still.
+func resolveMutation(inst *core.Instance, i int) {
+	inst.SetInterest((i*13)%inst.NumUsers(), (i*7)%inst.NumEvents(), float64(i%10)/10)
+	inst.SetActivity((i*17)%inst.NumUsers(), (i*3)%inst.NumIntervals(), float64((i+4)%10)/10)
 }
 
 // FigResolve benchmarks the incremental re-solve path against cold restarts
@@ -29,10 +25,10 @@ func resolveMutation(inst *core.Instance, i int) core.ScorerDelta {
 // small mutations is applied; after each, the schedule is recomputed twice:
 //
 //   - "warm": the previous version's engine is delta-rebuilt
-//     (score.NewFromPrevious) and the scheduler runs on it — sesd's
+//     (score.NewFromPrevious, with the dirty set core.SnapshotDelta reads
+//     off the snapshot chain) and the scheduler runs on it — sesd's
 //     steady-state PATCH → re-solve path;
-//   - "cold": a fresh engine is built from scratch — what every mutation
-//     cost before the engine cache learned to retire.
+//   - "cold": a fresh engine is built from scratch.
 //
 // Each series emits a BUILD row (engine construction wall time, where the
 // warm win lives) plus solve rows. The deterministic columns — Ω,
@@ -92,11 +88,11 @@ func FigResolve(o Options) ([]Row, error) {
 
 	for step := 1; step <= steps; step++ {
 		next := inst.Snapshot()
-		delta := resolveMutation(next, step)
+		resolveMutation(next, step)
 
 		if o.wantDataset("warm") {
 			t0 := time.Now()
-			w2, err := score.NewFromPrevious(warm, next, opts, delta)
+			w2, err := score.NewFromPrevious(warm, next, opts, core.SnapshotDelta(inst, next))
 			if err != nil {
 				return nil, err
 			}

@@ -284,6 +284,37 @@ func (en *Engine) offer(fn func()) bool {
 	}
 }
 
+// fanOut runs fn(i) once for every i in [0, n) on the calling goroutine
+// plus as many idle helpers as take a share (at most n-1), each claiming the
+// next index from a shared counter, and returns when all have finished. The
+// workers stop claiming once ctx is done. It counts one fan-out.
+func (en *Engine) fanOut(ctx context.Context, n int, fn func(i int)) {
+	en.fanouts.Add(1)
+	if sk := en.sink; sk != nil {
+		sk.Fanouts.Inc()
+	}
+	var next atomic.Int64
+	run := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for h := 0; h < min(en.workers, n)-1; h++ {
+		wg.Add(1)
+		if !en.offer(func() { defer wg.Done(); run() }) {
+			wg.Done()
+			break // saturated: the indexes left run on this goroutine
+		}
+	}
+	run()
+	wg.Wait()
+}
+
 // Close stops the worker goroutines. Idempotent.
 func (en *Engine) Close() {
 	en.closeOnce.Do(func() {
@@ -350,40 +381,16 @@ func (en *Engine) Score(s *core.Schedule, e, t int) float64 {
 // scoreSharded fans one evaluation's user shards across the worker set and
 // reduces the partials in shard order.
 func (en *Engine) scoreSharded(s *core.Schedule, e, t int) float64 {
-	en.fanouts.Add(1)
 	if sk := en.sink; sk != nil {
-		sk.Fanouts.Inc()
 		sk.Evals.Inc()
 		en.kernelEvals.Inc()
 	}
 	nU := en.inst.NumUsers()
-	nShards := (nU + chunkUsers - 1) / chunkUsers
-	partial := make([]float64, nShards)
-	var next atomic.Int64
-	run := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= nShards {
-				return
-			}
-			lo := i * chunkUsers
-			hi := lo + chunkUsers
-			if hi > nU {
-				hi = nU
-			}
-			partial[i] = en.sc.ScoreUsers(s, e, t, lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < en.workers-1; i++ {
-		wg.Add(1)
-		if !en.offer(func() { defer wg.Done(); run() }) {
-			wg.Done()
-			break // saturated: the shards left run on this goroutine
-		}
-	}
-	run()
-	wg.Wait()
+	partial := make([]float64, (nU+chunkUsers-1)/chunkUsers)
+	en.fanOut(context.TODO(), len(partial), func(i int) {
+		lo := i * chunkUsers
+		partial[i] = en.sc.ScoreUsers(s, e, t, lo, min(lo+chunkUsers, nU))
+	})
 	gain := 0.0
 	for _, p := range partial {
 		gain += p
@@ -513,34 +520,9 @@ func (en *Engine) scoreBatchCompute(ctx context.Context, s *core.Schedule, cands
 			out[i] = en.scoreShards(s, cd.Event, cd.Interval)
 		}
 	} else {
-		en.fanouts.Add(1)
-		if sk := en.sink; sk != nil {
-			sk.Fanouts.Inc()
-		}
-		var next atomic.Int64
-		run := func() {
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				out[i] = en.scoreShards(s, cands[i].Event, cands[i].Interval)
-			}
-		}
-		helpers := en.workers - 1
-		if helpers > len(cands)-1 {
-			helpers = len(cands) - 1
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < helpers; i++ {
-			wg.Add(1)
-			if !en.offer(func() { defer wg.Done(); run() }) {
-				wg.Done()
-				break // saturated: remaining candidates run on this goroutine
-			}
-		}
-		run()
-		wg.Wait()
+		en.fanOut(ctx, len(cands), func(i int) {
+			out[i] = en.scoreShards(s, cands[i].Event, cands[i].Interval)
+		})
 	}
 	if err := ctx.Err(); err != nil {
 		return err

@@ -20,25 +20,19 @@ func fullGrid(inst *core.Instance) []Candidate {
 }
 
 // mutateStep applies one mixed mutation to a snapshot and returns the
-// successor plus its delta. Varies with step so a chain dirties different
-// cells each time; the mutation always changes values (never a no-op write)
-// so stale reuse would be visible.
+// successor plus the delta the snapshot chain reports. Varies with step so a
+// chain dirties different cells each time; the mutation always changes
+// values (never a no-op write) so stale reuse would be visible.
 func mutateStep(t *testing.T, inst *core.Instance, step int) (*core.Instance, core.ScorerDelta) {
 	t.Helper()
 	next := inst.Snapshot()
-	nE, nT, nU := next.NumEvents(), next.NumIntervals(), next.NumUsers()
-	e := step % nE
-	next.SetInterest((step*5)%nU, e, 0.911)
-	d := core.ScorerDelta{Events: []int{e}}
+	nU := next.NumUsers()
+	next.SetInterest((step*5)%nU, step%next.NumEvents(), 0.911)
 	if nc := next.NumCompeting(); nc > 0 {
-		c := step % nc
-		next.SetCompetingInterest((step+3)%nU, c, 0.177)
-		d.CompIntervals = append(d.CompIntervals, next.Competing[c].Interval)
+		next.SetCompetingInterest((step+3)%nU, step%nc, 0.177)
 	}
-	ta := (step + 1) % nT
-	next.SetActivity((step*7)%nU, ta, 0.633)
-	d.ActIntervals = append(d.ActIntervals, ta)
-	return next, d
+	next.SetActivity((step*7)%nU, (step+1)%next.NumIntervals(), 0.633)
+	return next, core.SnapshotDelta(inst, next)
 }
 
 // TestWarmEngineBitIdentical: across a chain of mutations, an engine built
@@ -150,7 +144,7 @@ func TestGridCacheServesRepeats(t *testing.T) {
 	// A warm successor with a one-event delta recomputes only that row.
 	next := inst.Snapshot()
 	next.SetInterest(1, 2, 0.5)
-	warm, err := NewFromPrevious(en, next, core.ScorerOptions{}, core.ScorerDelta{Events: []int{2}})
+	warm, err := NewFromPrevious(en, next, core.ScorerOptions{}, core.SnapshotDelta(inst, next))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // TestVersionedCacheConsistency is the server-level half of the incremental
 // re-solve equality gate: drive PATCH → solve → PATCH → re-solve chains over
 // HTTP — so every post-mutation solve runs on whatever engine the cache
-// retired and warm-rebuilt — and require each response bit-identical
+// warm-rebuilt from the previous version — and require each response bit-identical
 // (utility, assignments, ScoreEvals, Examined) to a cold in-process solve of
 // the instance document the server itself serves back at that version.
 // Table-driven over dense and sparse representations and scoring worker

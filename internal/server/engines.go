@@ -23,23 +23,16 @@ type engineKey struct {
 // marks the entry dead; the engine's workers are released when the last
 // in-flight user drops its reference.
 //
-// A live entry is also a WARM SOURCE: when its instance is mutated, retire
-// accumulates the mutation's ScorerDelta here instead of dropping the
-// engine, and a later acquire for the new version rebuilds from it via
-// score.NewFromPrevious — only the dirty accumulators, carrying the clean
-// empty-schedule grid across. warmTo tracks how far the accumulated delta
-// reaches: the entry can warm-start exactly the version warmTo names.
+// A live entry is also a WARM SOURCE for later versions of its name: a miss
+// for a newer version diffs the two versions' snapshots (core.SnapshotDelta)
+// and rebuilds from the entry via score.NewFromPrevious — only the dirty
+// accumulators, carrying the clean empty-schedule grid across.
 type engineEntry struct {
 	key  engineKey
 	en   *score.Engine
 	refs int
 	dead bool
 	used int64 // LRU tick of the last acquire
-	// warmTo is the newest store version delta describes the path to;
-	// equal to key.version until the first retire.
-	warmTo uint64
-	// delta is the union of every mutation from key.version to warmTo.
-	delta core.ScorerDelta
 }
 
 // engineCache is a small refcounted LRU of scoring engines. Engines hold
@@ -92,12 +85,14 @@ func (ec *engineCache) setCurrent(fn func(name string) (uint64, bool)) {
 // split warm/fallback on it. opts carries the request's extensions; the
 // cache imposes its worker count.
 //
-// A miss prefers a WARM build: if a retired predecessor of the same name and
-// options can reach exactly key.version (warmTo matches), the new engine is
-// built from it via score.NewFromPrevious — reusing the clean precompute and
-// empty-schedule grid, bit-identical to a cold build — and the predecessor,
-// now fully superseded, is dropped. Any warm-path error falls back to a
-// cold build.
+// A miss prefers a WARM build from the newest older cached version of the
+// same name and options: the dirty set is read off the two snapshots
+// (core.SnapshotDelta) and the new engine is built via
+// score.NewFromPrevious — reusing the clean precompute and empty-schedule
+// grid, bit-identical to a cold build. A source with over half its events or
+// intervals dirty builds cold instead, and so does any warm-path error.
+// Either way the source, now superseded, is dropped once the new engine is
+// cached.
 func (ec *engineCache) acquire(key engineKey, inst *core.Instance, opts core.ScorerOptions) (en *score.Engine, release func(), reused bool, err error) {
 	opts.Workers = ec.workers
 	ec.mu.Lock()
@@ -110,17 +105,13 @@ func (ec *engineCache) acquire(key engineKey, inst *core.Instance, opts core.Sco
 		return e.en, ec.releaseFunc(e), true, nil
 	}
 	closed := ec.closed
-	// Scan for the best warm source: a live retired entry of the same name
-	// and option fingerprint whose accumulated delta lands on key.version.
-	// Pin it (refs) so eviction cannot close it mid-build.
+	// Scan for the warm source: the newest live entry of an older version
+	// with the same name and option fingerprint. Pin it (refs) so eviction
+	// cannot close it mid-build.
 	var src *engineEntry
-	var srcDelta core.ScorerDelta
 	if !closed {
 		for _, e := range ec.m {
-			if e.dead || e.key.name != key.name || e.key.opts != key.opts {
-				continue
-			}
-			if e.key.version >= key.version || e.warmTo != key.version {
+			if e.dead || e.key.name != key.name || e.key.opts != key.opts || e.key.version >= key.version {
 				continue
 			}
 			if src == nil || e.key.version > src.key.version {
@@ -129,7 +120,6 @@ func (ec *engineCache) acquire(key engineKey, inst *core.Instance, opts core.Sco
 		}
 		if src != nil {
 			src.refs++
-			srcDelta = src.delta
 		}
 	}
 	ec.mu.Unlock()
@@ -139,9 +129,11 @@ func (ec *engineCache) acquire(key engineKey, inst *core.Instance, opts core.Sco
 	// stall acquires of other instances.
 	warm := false
 	if src != nil {
-		if en, err = score.NewFromPrevious(src.en, inst, opts, srcDelta); err == nil {
-			warm = true
-			ec.warmBuilds.Add(1)
+		if d := core.SnapshotDelta(src.en.Instance(), inst); !tooDirty(d, inst) {
+			if en, err = score.NewFromPrevious(src.en, inst, opts, d); err == nil {
+				warm = true
+				ec.warmBuilds.Add(1)
+			}
 		}
 	}
 	releaseSrc := func() {}
@@ -192,12 +184,13 @@ func (ec *engineCache) acquire(key engineKey, inst *core.Instance, opts core.Sco
 		}
 	}
 	ec.tick++
-	e := &engineEntry{key: key, en: en, refs: 1, used: ec.tick, warmTo: key.version}
+	e := &engineEntry{key: key, en: en, refs: 1, used: ec.tick}
 	ec.m[key] = e
-	if warm && src != nil && !src.dead {
-		// The fresh entry answers every request the source still could;
-		// drop the source now instead of waiting for LRU pressure. Its
-		// engine closes when the last holder (including our pin) releases.
+	if src != nil && !src.dead {
+		// The fresh entry is the better warm source for every later
+		// version; drop the source now instead of waiting for LRU
+		// pressure. Its engine closes when the last holder (including our
+		// pin) releases.
 		delete(ec.m, src.key)
 		src.dead = true
 	}
@@ -207,40 +200,12 @@ func (ec *engineCache) acquire(key engineKey, inst *core.Instance, opts core.Sco
 	return en, ec.releaseFunc(e), warm, nil
 }
 
-// retire records a mutation of name to newVer: instead of dropping the
-// name's engines, each live entry accumulates the mutation's delta and
-// advances warmTo, staying available as a warm source for the new version.
-// Entries whose accumulated delta can no longer reach newVer (a missed
-// retire — cannot happen through the store's serialized mutation pipeline,
-// but guarded anyway) or whose dirtiness approaches the instance size (a
-// warm rebuild would approach cold cost while the stale grid pins memory)
-// are dropped like invalidate would.
-func (ec *engineCache) retire(name string, newVer uint64, d core.ScorerDelta) {
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
-	for k, e := range ec.m {
-		if k.name != name || e.dead {
-			continue
-		}
-		kill := e.warmTo+1 != newVer
-		var merged core.ScorerDelta
-		if !kill {
-			merged = e.delta.Merge(d)
-			inst := e.en.Instance()
-			kill = 2*len(merged.Events) > inst.NumEvents() ||
-				2*(len(merged.CompIntervals)+len(merged.ActIntervals)) > inst.NumIntervals()
-		}
-		if kill {
-			delete(ec.m, k)
-			e.dead = true
-			if e.refs == 0 {
-				e.en.Close()
-			}
-			continue
-		}
-		e.delta = merged
-		e.warmTo = newVer
-	}
+// tooDirty reports whether a warm rebuild would redo so much of the
+// instance — over half its events or intervals — that it would approach
+// cold cost while the carried grid pins memory.
+func tooDirty(d core.ScorerDelta, inst *core.Instance) bool {
+	return 2*len(d.Events) > inst.NumEvents() ||
+		2*(len(d.CompIntervals)+len(d.ActIntervals)) > inst.NumIntervals()
 }
 
 // releaseFunc builds the idempotent reference drop for an entry.
@@ -325,8 +290,8 @@ type EngineCacheStats struct {
 	// are reusing the per-version precompute and worker sets.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// WarmBuilds counts misses answered by a delta-aware rebuild from a
-	// retired predecessor instead of a cold O(|U|·|C|) precompute.
+	// WarmBuilds counts misses answered by a delta-aware rebuild from an
+	// older cached version instead of a cold O(|U|·|C|) precompute.
 	WarmBuilds int64 `json:"warm_builds,omitempty"`
 	// StaleDrops counts built engines served privately because their
 	// version lost a race with a mutation or deletion.

@@ -148,7 +148,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, storeErrCode(err), err)
 		return
 	}
-	s.afterMutation(name, info, req)
+	s.afterMutation(name)
 	writeJSON(w, http.StatusOK, info)
 }
 

@@ -148,7 +148,7 @@ func (s *Server) initMetrics() {
 		"Engine-cache misses (an engine was built).",
 		func() float64 { return float64(s.engines.misses.Load()) })
 	r.CounterFunc("sesd_engine_cache_warm_builds_total",
-		"Engine-cache misses answered by a delta rebuild of the previous version's engine.",
+		"Engine-cache misses answered by a delta rebuild of an older cached version's engine.",
 		func() float64 { return float64(s.engines.warmBuilds.Load()) })
 	r.CounterFunc("sesd_engine_cache_stale_drops_total",
 		"Engine-cache inserts refused because their instance version was no longer live.",

@@ -15,64 +15,13 @@ import (
 	"repro/internal/seio"
 )
 
-// mutationDelta maps an applied MutateRequest to the scorer-level dirty set
-// used by the engine cache's warm-rebuild path:
-//
-//   - an interest edit dirties exactly that event's grid row (ρ column);
-//   - a competing-interest edit or a new competing event dirties the
-//     competition sum of the interval the competing event occupies;
-//   - an activity edit dirties that interval's weighted-activity column (and
-//     its grid column: activity is read by empty-schedule scores too).
-//
-// inst must be a snapshot at or after the mutated version: competing indexes
-// only ever append and an existing competing event's interval is immutable,
-// so any later snapshot maps indexes identically. Out-of-range indexes
-// (impossible for an applied request) are skipped rather than invented.
-func mutationDelta(inst *core.Instance, req seio.MutateRequest) core.ScorerDelta {
-	var d core.ScorerDelta
-	for _, cu := range req.Interest {
-		if cu.Index >= 0 && cu.Index < len(inst.Events) {
-			d.Events = append(d.Events, cu.Index)
-		}
-	}
-	for _, cu := range req.CompetingInterest {
-		if cu.Index >= 0 && cu.Index < len(inst.Competing) {
-			d.CompIntervals = append(d.CompIntervals, inst.Competing[cu.Index].Interval)
-		}
-	}
-	for _, cu := range req.Activity {
-		if cu.Index >= 0 && cu.Index < inst.NumIntervals() {
-			d.ActIntervals = append(d.ActIntervals, cu.Index)
-		}
-	}
-	for _, nc := range req.AddCompeting {
-		if nc.Interval >= 0 && nc.Interval < inst.NumIntervals() {
-			d.CompIntervals = append(d.CompIntervals, nc.Interval)
-		}
-	}
-	// Merge with the empty delta to sort and dedupe in one place.
-	return core.ScorerDelta{}.Merge(d)
-}
-
 // afterMutation is the single post-PATCH bookkeeping path: the result cache
-// drops the name's entries (results are version-exact), and the engine cache
-// RETIRES them instead — each live engine accumulates the mutation's dirty
-// set and stays available to warm-start the new version's first solve. reqs
-// are the mutations applied as this one version bump (one for PATCH, many
-// for the batch endpoint).
-func (s *Server) afterMutation(name string, info seio.InstanceInfo, reqs ...seio.MutateRequest) {
+// drops the name's entries (results are version-exact) and subscribers are
+// woken. Cached engines stay: the next acquire of the new version
+// warm-builds from the newest older one, reading the dirty set off the
+// snapshot chain, so nothing here depends on the order mutations' hooks run.
+func (s *Server) afterMutation(name string) {
 	s.cache.InvalidateInstance(name)
-	inst, _, err := s.store.Get(name)
-	if err != nil {
-		// Deleted between Mutate and here: nothing left to warm.
-		s.engines.invalidate(name)
-		return
-	}
-	var d core.ScorerDelta
-	for _, r := range reqs {
-		d = d.Merge(mutationDelta(inst, r))
-	}
-	s.engines.retire(name, info.Version, d)
 	s.notifyMutation(name)
 }
 
@@ -116,13 +65,13 @@ func (s *Server) handleMutateBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mutationBatches.Add(1)
-	s.afterMutation(name, info, merged)
+	s.afterMutation(name)
 	writeJSON(w, http.StatusOK, seio.BatchMutateResponse{Instance: info, Applied: applied})
 }
 
 // resolveCurrent solves the instance's CURRENT version: result-cache fast
 // path first, then a pooled run on the engine-cache's engine for that
-// version — a warm delta rebuild when the preceding mutation retired one. The
+// version — a warm delta rebuild when an older version's engine is cached. The
 // bool reports whether the answer reused prior state (cache hit, engine hit,
 // or warm rebuild) versus a cold build. Output and counters are bit-identical
 // to a cold solve either way; only the latency differs, which is what
@@ -194,7 +143,7 @@ func (s *Server) resolveCurrent(ctx context.Context, name, algorithm string, k i
 // On connect the current version is solved (or served from the result cache)
 // and pushed as the first "resolve" event; afterwards every mutation —
 // PATCH, batch POST, or replacement PUT is not included (replacement
-// invalidates rather than retires) — triggers a re-solve of the then-current
+// invalidates the cached engines) — triggers a re-solve of the then-current
 // version and a push carrying the full schedule plus its delta against the
 // previous push. Bursts coalesce: a subscriber mid-solve when several
 // mutations land re-solves once, at the latest version.

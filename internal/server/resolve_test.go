@@ -91,8 +91,8 @@ func readSSE(t *testing.T, sc *bufio.Scanner) sseEvent {
 }
 
 // The subscribe stream end to end: initial push at the current version, a
-// PATCH triggers a re-solve push at the new version — served WARM by the
-// retired engine — and deleting the instance ends the stream with an error
+// PATCH triggers a re-solve push at the new version — served WARM from the
+// previous version's engine — and deleting the instance ends the stream with an error
 // event.
 func TestSubscribeStream(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2, Queue: 8})
@@ -143,8 +143,8 @@ func TestSubscribeStream(t *testing.T) {
 	}
 
 	// Mutate: the push must arrive at version 2 and — because the mutation
-	// is small — be served by the warm (retired-engine) path. This is the
-	// HTTP-visible face of the incremental re-solve tentpole.
+	// is small — be served by the warm path. This is the HTTP-visible face
+	// of the incremental re-solve tentpole.
 	mut := jsonBody(t, seio.MutateRequest{Interest: []seio.CellUpdate{{User: 0, Index: 0, Value: 0.9}}})
 	do(t, c, "PATCH", ts.URL+"/instances/live", mut, http.StatusOK, nil)
 	ev = readSSE(t, sc)

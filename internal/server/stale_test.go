@@ -1,13 +1,16 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/core"
+	"repro/internal/score"
 	"repro/internal/seio"
 )
 
@@ -204,34 +207,34 @@ func TestEngineCacheStaleDrop(t *testing.T) {
 	}
 }
 
-// retire must keep small-delta engines warm (consumed by the next version's
-// acquire via a delta rebuild) and drop too-dirty ones.
-func TestEngineCacheRetireWarm(t *testing.T) {
-	inst := engineTestInstance(t)
+// A miss for a newer version must warm-build from the newest older cached
+// engine when the snapshot chain shows a small dirty set, drop the
+// superseded source, and build cold when the chain shows most of the
+// instance dirty or the instances are unrelated.
+func TestEngineCacheWarmAcquire(t *testing.T) {
+	v1 := engineTestInstance(t)
 	ec := newEngineCache(0, 4)
 	defer ec.close()
+	acquire := func(ver uint64, inst *core.Instance) (*score.Engine, bool) {
+		t.Helper()
+		en, rel, warm, err := ec.acquire(engineKey{name: "a", version: ver}, inst, core.ScorerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel()
+		return en, warm
+	}
 
-	_, rel, _, err := ec.acquire(engineKey{name: "a", version: 1}, inst, core.ScorerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel()
-	ec.retire("a", 2, core.ScorerDelta{Events: []int{0}})
-	if n := ec.stats().Engines; n != 1 {
-		t.Fatalf("retire dropped a warmable engine (engines=%d)", n)
-	}
-
-	_, rel2, warm, err := ec.acquire(engineKey{name: "a", version: 2}, inst, core.ScorerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel2()
+	acquire(1, v1)
+	v2 := v1.Snapshot()
+	v2.SetInterest(0, 0, 0.5)
+	en2, warm := acquire(2, v2)
 	if !warm {
 		t.Error("warm delta rebuild not reported as reused")
 	}
 	st := ec.stats()
 	if st.WarmBuilds != 1 {
-		t.Fatalf("acquire after retire: %+v, want 1 warm build", st)
+		t.Fatalf("acquire of the mutated version: %+v, want 1 warm build", st)
 	}
 	if st.Engines != 1 {
 		t.Fatalf("warm source not superseded: %d engines cached", st.Engines)
@@ -239,41 +242,53 @@ func TestEngineCacheRetireWarm(t *testing.T) {
 	if _, ok := ec.m[engineKey{name: "a", version: 1}]; ok {
 		t.Fatal("superseded version-1 entry still mapped")
 	}
-
-	// A mutation touching most of the instance makes a warm rebuild pointless:
-	// the entry is dropped like invalidate would.
-	big := make([]int, inst.NumEvents())
-	for i := range big {
-		big[i] = i
-	}
-	ec.retire("a", 3, core.ScorerDelta{Events: big})
-	if n := ec.stats().Engines; n != 0 {
-		t.Fatalf("too-dirty retire kept %d engines", n)
-	}
-
-	// A retire that cannot reach the new version (missed intermediate
-	// mutation) must also kill the entry rather than warm-start wrongly.
-	_, rel3, _, err := ec.acquire(engineKey{name: "a", version: 5}, inst, core.ScorerOptions{})
+	cold, err := score.New(v2, core.ScorerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel3()
-	ec.retire("a", 9, core.ScorerDelta{Events: []int{1}})
-	if n := ec.stats().Engines; n != 0 {
-		t.Fatalf("gap retire kept %d engines", n)
+	defer cold.Close()
+	s := core.NewSchedule(v2)
+	for e := 0; e < v2.NumEvents(); e++ {
+		for ti := 0; ti < v2.NumIntervals(); ti++ {
+			if w, c := en2.Score(s, e, ti), cold.Score(s, e, ti); w != c {
+				t.Fatalf("Score(%d,%d): warm %x, cold %x", e, ti, w, c)
+			}
+		}
+	}
+
+	// A mutation touching most of the instance makes a warm rebuild
+	// pointless: the next version builds cold and still supersedes.
+	v3 := v2.Snapshot()
+	for e := 0; e < v3.NumEvents(); e++ {
+		v3.SetInterest(1, e, 0.5)
+	}
+	if _, warm := acquire(3, v3); warm {
+		t.Error("too-dirty source warm-built")
+	}
+	if st := ec.stats(); st.WarmBuilds != 1 || st.Engines != 1 {
+		t.Fatalf("after too-dirty acquire: %+v, want 1 warm build, 1 engine", st)
+	}
+
+	// An unrelated instance under the same name shares no column.
+	if _, warm := acquire(4, engineTestInstance(t)); warm {
+		t.Error("unrelated instance warm-built")
 	}
 }
 
-// Hammer acquire / retire / invalidate concurrently under -race with a
-// moving live version. The cache must stay consistent (no panics, bounded
-// size, working engines at the final version).
+// Hammer acquire / invalidate concurrently under -race while a mutator
+// extends the snapshot chain. The cache must stay consistent (no panics,
+// bounded size) and serve the final version bit-identically to a cold
+// engine.
 func TestEngineCacheRace(t *testing.T) {
-	inst := engineTestInstance(t)
+	type version struct {
+		v    uint64
+		inst *core.Instance
+	}
 	ec := newEngineCache(0, 3)
 	defer ec.close()
-	var cur atomic.Uint64
-	cur.Store(1)
-	ec.setCurrent(func(string) (uint64, bool) { return cur.Load(), true })
+	var cur atomic.Pointer[version]
+	cur.Store(&version{1, engineTestInstance(t)})
+	ec.setCurrent(func(string) (uint64, bool) { return cur.Load().v, true })
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -281,45 +296,121 @@ func TestEngineCacheRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := core.NewSchedule(inst)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				v := cur.Load()
-				en, rel, _, err := ec.acquire(engineKey{name: "a", version: v}, inst, core.ScorerOptions{})
+				c := cur.Load()
+				en, rel, _, err := ec.acquire(engineKey{name: "a", version: c.v}, c.inst, core.ScorerOptions{})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				_ = en.Score(s, 0, 0)
+				_ = en.Score(core.NewSchedule(c.inst), 0, 0)
 				rel()
 			}
 		}()
 	}
 	for r := 0; r < 60; r++ {
-		v := cur.Add(1)
+		c := cur.Load()
+		next := c.inst.Snapshot()
+		next.SetInterest(r%next.NumUsers(), r%next.NumEvents(), 0.5)
+		cur.Store(&version{c.v + 1, next})
 		if r%10 == 9 {
 			ec.invalidate("a")
-		} else {
-			ec.retire("a", v, core.ScorerDelta{Events: []int{r % inst.NumEvents()}})
 		}
 	}
 	close(stop)
 	wg.Wait()
 
 	final := cur.Load()
-	en, rel, _, err := ec.acquire(engineKey{name: "a", version: final}, inst, core.ScorerOptions{})
+	en, rel, _, err := ec.acquire(engineKey{name: "a", version: final.v}, final.inst, core.ScorerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := core.NewSchedule(inst)
-	_ = en.Score(s, 0, 0)
-	rel()
+	defer rel()
+	cold, err := score.New(final.inst, core.ScorerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	s := core.NewSchedule(final.inst)
+	for e := 0; e < final.inst.NumEvents(); e++ {
+		if w, c := en.Score(s, e, 0), cold.Score(s, e, 0); w != c {
+			t.Fatalf("final Score(%d,0): cached %x, cold %x", e, w, c)
+		}
+	}
 	if n := ec.stats().Engines; n > 3 {
 		t.Fatalf("cache grew past capacity: %d", n)
+	}
+}
+
+// Two mutations of one name whose post-mutation hooks run in reverse order
+// (the hooks run after Store.Mutate releases the name lock, so nothing
+// orders them) must still leave the next solve a warm build, bit-identical
+// to a cold one.
+func TestReorderedMutationHooksStayWarm(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1, Queue: 4})
+	if _, _, err := srv.store.Put("x", engineTestInstance(t)); err != nil {
+		t.Fatal(err)
+	}
+	inst, info, err := srv.store.Get("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rel, _, err := srv.engines.acquire(engineKey{name: "x", version: info.Version}, inst, core.ScorerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel()
+
+	for _, req := range []seio.MutateRequest{
+		{Interest: []seio.CellUpdate{{User: 3, Index: 1, Value: 0.25}}},
+		{Activity: []seio.CellUpdate{{User: 5, Index: 2, Value: 0.75}}},
+	} {
+		if _, err := srv.store.Mutate("x", req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The hook of the second mutation lands first.
+	srv.afterMutation("x")
+	srv.afterMutation("x")
+
+	inst, info, err = srv.store.Get("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	en, rel, warm, err := srv.engines.acquire(engineKey{name: "x", version: info.Version}, inst, core.ScorerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel()
+	if st := srv.engines.stats(); !warm || st.WarmBuilds != 1 {
+		t.Fatalf("solve after reordered hooks: warm=%v, stats %+v; want a warm build", warm, st)
+	}
+	cold, err := score.New(inst, core.ScorerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	for _, name := range algo.Names() {
+		run := func(en *score.Engine) *algo.Result {
+			sched, err := algo.NewWithEngine(name, 3, en)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sched.ScheduleCtx(context.Background(), inst, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		w, c := run(en), run(cold)
+		if w.Utility != c.Utility || w.Counters != c.Counters {
+			t.Errorf("%s: warm Ω=%v %+v, cold Ω=%v %+v", name, w.Utility, w.Counters, c.Utility, c.Counters)
+		}
 	}
 }
 

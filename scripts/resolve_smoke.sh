@@ -2,7 +2,7 @@
 # Incremental re-solve smoke test: boot a race-enabled sesd, open an SSE
 # subscription, stream mutations at it — single PATCHes and a batch POST —
 # and assert the pushed schedule events arrive at the right versions, that
-# the post-mutation re-solves are served by the warm (retired-engine) path,
+# the post-mutation re-solves are warm rebuilds from the previous version,
 # that the newest re-solve trace carries every solve stage, and that the
 # sesd_resolve_* metric families move accordingly. Run by CI;
 # runnable locally: ./scripts/resolve_smoke.sh
@@ -97,8 +97,8 @@ jq -s -e '[.[].instance.store_version] == [1,2,3,4]' "$WORK/events.jsonl" >/dev/
   exit 1
 }
 # The first solve of a fresh instance is cold; every mutation after it must
-# be answered by the warm path (the engine cache retired the previous
-# version's engine with the mutation's dirty set).
+# be answered by the warm path (the engine cache rebuilt from the previous
+# version's engine, with the dirty set read off the snapshot chain).
 jq -s -e '[.[] | (.warm // false)] == [false,true,true,true]' "$WORK/events.jsonl" >/dev/null || {
   echo "warm flags wrong (want cold first, warm after):" >&2
   jq -c '.warm // false' "$WORK/events.jsonl" >&2
