@@ -18,7 +18,12 @@ import (
 // Persistbench measures what the write-ahead log costs the store's mutation
 // path: the same Put / Mutate workload is timed against an in-memory store
 // ("memory"), a WAL-backed one ("wal"), and — with -fsync — one syncing
-// every append ("wal-fsync"). Output is the sesbench row vocabulary
+// every append ("wal-fsync"). It then times one-cell Mutates against
+// in-memory stores holding instances of 5K and 100K users, dense and 5%
+// sparse (the "memory-dense" and "memory-sparse" MUTATE rows, X = |U|).
+// A mutation costs O(delta): these rows grow with the one column each
+// mutation copies and re-hashes (|U| cells dense, its nonzeros sparse),
+// not with the whole instance. Output is the sesbench row vocabulary
 // (-json → {"rows": [...]}), so cmd/benchdiff compares runs exactly like the
 // solver benchmarks; the deterministic columns are all zero (the store does
 // no scoring), making the rows pure wall-time trajectories. CI keeps a
@@ -30,10 +35,10 @@ func Persistbench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("persistbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		users   = fs.Int("users", 120, "users per instance")
-		k       = fs.Int("k", 3, "schedulable events driving the instance shape (|E| = 3k)")
+		users   = fs.Int("users", 120, "users per instance of the memory/wal series")
+		k       = fs.Int("k", 3, "schedulable events driving the memory/wal instance shape (|E| = 3k)")
 		puts    = fs.Int("puts", 20, "Put operations per series")
-		mutates = fs.Int("mutates", 50, "Mutate operations per series")
+		mutates = fs.Int("mutates", 50, "Mutate operations per series, the |U| sweep included")
 		fsync   = fs.Bool("fsync", false, "also measure a wal-fsync series (slow; excluded from the CI baseline)")
 		jsonOut = fs.Bool("json", false, "write rows as JSON instead of a table")
 		seed    = fs.Uint64("seed", 1, "dataset seed")
@@ -64,17 +69,28 @@ func Persistbench(args []string, stdout, stderr io.Writer) int {
 		}
 		rows = append(rows, mk("PUT", *puts, putMS), mk("MUTATE", *mutates, mutMS))
 	}
+	for _, sh := range mutateSweep {
+		row, err := benchMutateSweep(sh, *mutates, *seed)
+		if err != nil {
+			return fail(stderr, "persistbench", err)
+		}
+		rows = append(rows, row)
+	}
 	if *jsonOut {
 		if err := exp.WriteJSON(stdout, rows); err != nil {
 			return fail(stderr, "persistbench", err)
 		}
 		return 0
 	}
-	fmt.Fprintf(stdout, "%-10s %-8s %6s %12s %14s\n", "mode", "op", "ops", "total(ms)", "per-op(µs)")
+	fmt.Fprintf(stdout, "%-13s %-8s %7s %6s %12s %14s\n", "mode", "op", "users", "ops", "total(ms)", "per-op(µs)")
 	for _, r := range rows {
-		fmt.Fprintf(stdout, "%-10s %-8s %6d %12.2f %14.1f\n",
-			r.Dataset, r.Algorithm, r.X, seio.DurationMS(r.Elapsed),
-			1000*seio.DurationMS(r.Elapsed)/float64(r.X))
+		ops := r.X
+		if r.XName == "users" {
+			ops = *mutates
+		}
+		fmt.Fprintf(stdout, "%-13s %-8s %7d %6d %12.2f %14.1f\n",
+			r.Dataset, r.Algorithm, r.Users, ops, seio.DurationMS(r.Elapsed),
+			1000*seio.DurationMS(r.Elapsed)/float64(ops))
 	}
 	return 0
 }
@@ -117,4 +133,54 @@ func benchStore(mode string, inst *core.Instance, puts, mutates int) (putTime, m
 	}
 	mutTime = time.Since(start)
 	return putTime, mutTime, nil
+}
+
+// sweepShape is one instance shape of the |U| sweep.
+type sweepShape struct {
+	rep    core.Rep
+	users  int
+	events int
+}
+
+// mutateSweep lists the instance shapes of the |U| sweep. The sparse shape
+// is the 500-event, 10-interval synthetic workload of the sparse figure at
+// 5% density; the dense one keeps 60 events so the 100K-user matrix stays
+// small enough for a default run.
+var mutateSweep = []sweepShape{
+	{core.RepDense, 5_000, 60},
+	{core.RepDense, 100_000, 60},
+	{core.RepSparse, 5_000, 500},
+	{core.RepSparse, 100_000, 500},
+}
+
+// benchMutateSweep uploads one instance of the given shape into a
+// memory-only store and times mutates one-cell interest Mutates on it, each
+// writing a different (user, event) cell.
+func benchMutateSweep(sh sweepShape, mutates int, seed uint64) (exp.Row, error) {
+	cfg := dataset.DefaultConfig(20, sh.users, dataset.Uniform, seed)
+	cfg.NumEvents, cfg.NumIntervals, cfg.Rep = sh.events, 10, sh.rep
+	if sh.rep == core.RepSparse {
+		cfg.Density = 0.05
+	}
+	inst, err := dataset.Generate(cfg)
+	if err != nil {
+		return exp.Row{}, err
+	}
+	st := server.NewStore()
+	if _, _, err := st.Put("sweep", inst); err != nil {
+		return exp.Row{}, err
+	}
+	start := time.Now()
+	for i := 0; i < mutates; i++ {
+		if _, err := st.Mutate("sweep", seio.MutateRequest{
+			Interest: []seio.CellUpdate{{User: i * 7919 % sh.users, Index: i % sh.events, Value: float64(i%10) / 10}},
+		}); err != nil {
+			return exp.Row{}, err
+		}
+	}
+	return exp.Row{
+		Figure: "persist", Dataset: "memory-" + sh.rep.String(), Algorithm: "MUTATE", XName: "users", X: sh.users,
+		K: 20, Events: inst.NumEvents(), Intervals: inst.NumIntervals(), Users: inst.NumUsers(),
+		Elapsed: time.Since(start),
+	}, nil
 }

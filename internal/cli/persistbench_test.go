@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -18,23 +19,25 @@ func TestPersistbenchJSON(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
 	}
-	// Two modes × two operations, in the benchdiff row vocabulary.
-	if len(doc.Rows) != 4 {
-		t.Fatalf("%d rows, want 4 (memory/wal × PUT/MUTATE)", len(doc.Rows))
+	// Two modes × two operations, then the four-point MUTATE |U| sweep, in
+	// the benchdiff row vocabulary.
+	if len(doc.Rows) != 8 {
+		t.Fatalf("%d rows, want 8 (memory/wal × PUT/MUTATE + 4 sweep points)", len(doc.Rows))
 	}
 	seen := map[string]bool{}
 	for _, r := range doc.Rows {
 		if r["figure"] != "persist" {
 			t.Errorf("row figure %v, want persist", r["figure"])
 		}
-		seen[r["dataset"].(string)+"/"+r["algorithm"].(string)] = true
+		seen[fmt.Sprintf("%s/%s/%v", r["dataset"], r["algorithm"], r["x"])] = true
 		for _, det := range []string{"utility", "score_evals", "examined"} {
 			if v, ok := r[det].(float64); !ok || v != 0 {
 				t.Errorf("deterministic column %s = %v, want 0 (benchdiff gates it exactly)", det, r[det])
 			}
 		}
 	}
-	for _, want := range []string{"memory/PUT", "memory/MUTATE", "wal/PUT", "wal/MUTATE"} {
+	for _, want := range []string{"memory/PUT/3", "memory/MUTATE/4", "wal/PUT/3", "wal/MUTATE/4",
+		"memory-dense/MUTATE/5000", "memory-dense/MUTATE/100000", "memory-sparse/MUTATE/5000", "memory-sparse/MUTATE/100000"} {
 		if !seen[want] {
 			t.Errorf("missing series %s", want)
 		}

@@ -102,6 +102,12 @@ type Instance struct {
 	// means no column is owned.
 	ownedInterest []bool
 	ownedActivity []bool
+
+	// interestHash / activityHash hold one cached column hash per column
+	// (see digest.go). They are shared and replaced together with the
+	// columns: an owned column has a slot no snapshot can see.
+	interestHash []*colHash
+	activityHash []*colHash
 }
 
 // NewInstance allocates an instance with zeroed interest and activity
@@ -132,6 +138,8 @@ func newInstance(events []Event, intervals []Interval, competing []Competing, nu
 		activity:      activity,
 		ownedInterest: allOwned(len(events) + len(competing)),
 		ownedActivity: allOwned(len(intervals)),
+		interestHash:  newHashes(len(events) + len(competing)),
+		activityHash:  newHashes(len(intervals)),
 	}
 }
 

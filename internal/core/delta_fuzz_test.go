@@ -9,11 +9,15 @@ import (
 // intermediate snapshots, over dense and sparse instances. SnapshotDelta
 // must come back sorted and deduplicated, must report every column whose
 // content changed, and NewScorerFromDelta with it must match a cold scorer
-// bit for bit; the starting snapshot must not move.
+// bit for bit; the starting snapshot must not move. After every step, the
+// Digest computed through the cached column hashes must equal the digest of
+// a deep copy whose hash slots are all empty.
 func FuzzSnapshotDelta(f *testing.F) {
 	f.Add(uint64(1), uint8(4), []byte{0, 1, 2, 3, 2, 5, 6, 7, 3, 0, 1, 9})
 	f.Add(uint64(7), uint8(0), []byte{3, 2, 0, 128, 4, 0, 0, 0, 1, 3, 3, 0, 0, 9, 9, 0})
 	f.Add(uint64(42), uint8(200), []byte{5, 4, 1, 0, 6, 0, 2, 200, 7, 1, 0, 50, 4, 9, 9, 9, 2, 7, 1, 1})
+	// Two writes to one owned column with a Digest between them.
+	f.Add(uint64(3), uint8(100), []byte{0, 1, 2, 3, 0, 5, 2, 7, 2, 1, 1, 9, 2, 4, 1, 11})
 	f.Fuzz(func(t *testing.T, seed uint64, dens uint8, ops []byte) {
 		if len(ops) > 96 {
 			ops = ops[:96]
@@ -37,6 +41,7 @@ func FuzzSnapshotDelta(f *testing.F) {
 				if ops[i]%8 == 4 {
 					next = next.Snapshot()
 				}
+				checkFresh(t, next, next.Digest())
 			}
 
 			d := SnapshotDelta(prev, next)
@@ -67,6 +72,7 @@ func FuzzSnapshotDelta(f *testing.F) {
 			if prev.Digest() != prevDigest {
 				t.Fatal("writes through the snapshot chain reached the starting snapshot")
 			}
+			checkFresh(t, prev, prevDigest)
 
 			cold, err := NewScorerWithOptions(next, opts)
 			if err != nil {

@@ -20,6 +20,12 @@ import (
 // Shared columns are also what SnapshotDelta reads: two snapshots of one
 // chain that hold the same backing column hold the same values in it.
 //
+// Each column's cached hash slot (digest.go) travels with the column: a
+// snapshot shares the slot of every column it shares, a copied or appended
+// column gets a fresh empty slot, and every write to an owned column empties
+// its slot. So Digest re-hashes exactly the columns written since it last
+// ran, and a shared slot is never emptied, only filled.
+//
 // Snapshot and the mutating accessors must be externally serialized with
 // each other (the store holds a lock across them). Concurrent *readers* of
 // already-published snapshots need no synchronization: a published
@@ -38,6 +44,8 @@ func (in *Instance) Snapshot() *Instance {
 	cp.interest = slices.Clone(in.interest)
 	cp.sparse = slices.Clone(in.sparse)
 	cp.activity = slices.Clone(in.activity)
+	cp.interestHash = slices.Clone(in.interestHash)
+	cp.activityHash = slices.Clone(in.activityHash)
 	return &cp
 }
 
@@ -60,11 +68,13 @@ func claim(owned *[]bool, n, i int) bool {
 	return was
 }
 
-// ownInterestCol makes interest column h exclusively owned, copying it if it
-// is still shared with a snapshot: |U| cells for a dense column, its
-// nonzeros for a sparse one.
+// ownInterestCol prepares interest column h for a write: it makes the
+// column exclusively owned, copying it if it is still shared with a
+// snapshot (|U| cells for a dense column, its nonzeros for a sparse one),
+// and leaves its hash slot empty.
 func (in *Instance) ownInterestCol(h int) {
 	if claim(&in.ownedInterest, len(in.Events)+len(in.Competing), h) {
+		clearHash(in.interestHash[h])
 		return
 	}
 	if in.sparse != nil {
@@ -72,13 +82,18 @@ func (in *Instance) ownInterestCol(h int) {
 	} else {
 		in.interest[h] = slices.Clone(in.interest[h])
 	}
+	in.interestHash[h] = new(colHash)
 }
 
-// ownActivityCol makes activity column t exclusively owned.
+// ownActivityCol prepares activity column t for a write, like
+// ownInterestCol.
 func (in *Instance) ownActivityCol(t int) {
-	if !claim(&in.ownedActivity, len(in.activity), t) {
-		in.activity[t] = slices.Clone(in.activity[t])
+	if claim(&in.ownedActivity, len(in.activity), t) {
+		clearHash(in.activityHash[t])
+		return
 	}
+	in.activity[t] = slices.Clone(in.activity[t])
+	in.activityHash[t] = new(colHash)
 }
 
 // AddCompeting appends a competing event together with the per-user interest
@@ -118,6 +133,7 @@ func (in *Instance) AddCompeting(c Competing, interest []float32) error {
 		in.ownedInterest = make([]bool, h)
 	}
 	in.ownedInterest = append(in.ownedInterest, true)
+	in.interestHash = append(in.interestHash, new(colHash))
 	in.Competing = append(append([]Competing(nil), in.Competing...), c)
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -148,10 +149,11 @@ func TestDigest(t *testing.T) {
 	}
 }
 
-// TestDigestGolden pins the Digest of a dense and a sparse instance through
-// an interest edit, an activity edit and an AddCompeting. WAL records carry
-// these digests, so any change to the hashed byte stream — a storage layout
-// change included — would make old records fail verification on replay.
+// TestDigestGolden pins the v1 digest (DigestV1) of a dense and a sparse
+// instance through an interest edit, an activity edit and an AddCompeting.
+// Format-1 WAL records carry these digests, so any change to the v1 byte
+// stream — a storage layout change included — would make old records fail
+// verification on replay.
 func TestDigestGolden(t *testing.T) {
 	dense, sparse := buildPair(t, 23, 6, 4, 3, 50, 0.4)
 	want := map[string][4]string{
@@ -173,24 +175,155 @@ func TestDigestGolden(t *testing.T) {
 			w := want[name]
 			next := inst.Snapshot()
 			next.SetInterest(7, 2, 0.625)
-			edited := next.Digest()
+			edited := DigestV1(next)
 			next.SetActivity(11, 3, 0.375)
-			active := next.Digest()
-			col := make([]float32, next.NumUsers())
-			for u := range col {
-				if u%4 == 0 {
-					col[u] = 0.5
-				}
-			}
-			if err := next.AddCompeting(Competing{Name: "late", Interval: 1, Start: 10, End: 20}, col); err != nil {
+			active := DigestV1(next)
+			if err := next.AddCompeting(Competing{Name: "late", Interval: 1, Start: 10, End: 20}, goldenCompetingCol(next)); err != nil {
 				t.Fatal(err)
 			}
-			got := [4]string{inst.Digest(), edited, active, next.Digest()}
+			got := [4]string{DigestV1(inst), edited, active, DigestV1(next)}
 			for i, label := range []string{"base", "interest edit", "activity edit", "AddCompeting"} {
 				if got[i] != w[i] {
 					t.Errorf("%s digest after %s = %s, want %s", name, label, got[i], w[i])
 				}
 			}
 		})
+	}
+}
+
+// goldenCompetingCol is the competing interest column the golden tests add.
+func goldenCompetingCol(in *Instance) []float32 {
+	col := make([]float32, in.NumUsers())
+	for u := range col {
+		if u%4 == 0 {
+			col[u] = 0.5
+		}
+	}
+	return col
+}
+
+// TestDigestGoldenV2 pins the v2 Digest of the TestDigestGolden instances
+// through the same edits, and checks that each digest matches one computed
+// from scratch. The interest and activity edits each write their column a
+// second time after a Digest, so a slot cleared only on a column's first
+// write would keep a stale hash and fail here.
+func TestDigestGoldenV2(t *testing.T) {
+	dense, sparse := buildPair(t, 23, 6, 4, 3, 50, 0.4)
+	want := map[string][4]string{
+		"dense": {
+			"e5621c0fe1272fd71814a458aed042c2e8716d43cbd12995086351c939f1177c",
+			"4c2260c41218fb4939acdce5bdfe2bfb73ba243eba95c1ee35449f8a0acbfc32",
+			"a80a1f4de371df0e49d78edeb1b90d05cedb3adb806bb889a14fa17499d5833e",
+			"3fdc14614bf8640b6fe62d3872d039a34f07f4b5aa4548bfac8d620c59b30a05",
+		},
+		"sparse": {
+			"d7d101950581d6694fb8054e725473180b2494fe5f1f83ff62a10ef1160de2f3",
+			"8a317c5b86e552c02d18baa85aaf010bc8e63e54120226b531a7b5752110a562",
+			"f9ac380ecc812b45d68c130f0713e9d174ff64cec48b5a82d624f06142c75f4c",
+			"848c90bf38f680d74c562762339c96c12252428c0d49c1db085ce58f879b4978",
+		},
+	}
+	for name, inst := range map[string]*Instance{"dense": dense, "sparse": sparse} {
+		t.Run(name, func(t *testing.T) {
+			w := want[name]
+			base := inst.Digest()
+			next := inst.Snapshot()
+			next.SetInterest(7, 2, 0.25)
+			next.Digest()
+			next.SetInterest(7, 2, 0.625)
+			edited := next.Digest()
+			checkFresh(t, next, edited)
+			next.SetActivity(11, 3, 0.125)
+			next.Digest()
+			next.SetActivity(11, 3, 0.375)
+			active := next.Digest()
+			checkFresh(t, next, active)
+			if err := next.AddCompeting(Competing{Name: "late", Interval: 1, Start: 10, End: 20}, goldenCompetingCol(next)); err != nil {
+				t.Fatal(err)
+			}
+			got := [4]string{base, edited, active, next.Digest()}
+			checkFresh(t, next, got[3])
+			if inst.Digest() != base {
+				t.Error("edits through the snapshot changed the source's digest")
+			}
+			for i, label := range []string{"base", "interest edit", "activity edit", "AddCompeting"} {
+				if got[i] != w[i] {
+					t.Errorf("%s digest after %s = %s, want %s", name, label, got[i], w[i])
+				}
+			}
+		})
+	}
+}
+
+// deepCopy returns a copy of in that shares no column and no hash slot with
+// it: every slot starts empty, so its Digest hashes every column afresh.
+func deepCopy(in *Instance) *Instance {
+	var interest [][]float32
+	var sparse []SparseCol
+	if in.sparse != nil {
+		sparse = make([]SparseCol, len(in.sparse))
+		for h := range sparse {
+			sparse[h] = in.sparse[h].clone()
+		}
+	} else {
+		interest = make([][]float32, len(in.interest))
+		for h := range interest {
+			interest[h] = slices.Clone(in.interest[h])
+		}
+	}
+	activity := make([][]float32, len(in.activity))
+	for tt := range activity {
+		activity[tt] = slices.Clone(in.activity[tt])
+	}
+	return newInstance(slices.Clone(in.Events), slices.Clone(in.Intervals), slices.Clone(in.Competing),
+		in.numUsers, in.Theta, interest, sparse, activity)
+}
+
+// checkFresh fails unless digest (computed through in's cached slots)
+// equals the digest of a deep copy of in with every slot empty.
+func checkFresh(t *testing.T, in *Instance, digest string) {
+	t.Helper()
+	if fresh := deepCopy(in).Digest(); digest != fresh {
+		t.Fatalf("cached digest %s, recomputed from scratch %s", digest, fresh)
+	}
+}
+
+// TestDigestConcurrentWithSuccessorWrites runs Digest on a published
+// snapshot from several goroutines while a writer mutates and digests a
+// chain of successors sharing its columns, as the server store does. Both
+// sides fill the shared hash slots at once; under -race this checks the
+// slots are synchronized, and every reader must see the published digest.
+func TestDigestConcurrentWithSuccessorWrites(t *testing.T) {
+	dense, sparse := buildPair(t, 5, 6, 4, 3, 200, 0.3)
+	for _, inst := range []*Instance{dense, sparse} {
+		pub := inst.Snapshot()
+		want := deepCopy(pub).Digest()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < 50; r++ {
+					if got := pub.Digest(); got != want {
+						t.Errorf("published digest %s, want %s", got, want)
+						return
+					}
+				}
+			}()
+		}
+		next := pub.Snapshot()
+		for i := 0; i < 60; i++ {
+			switch i % 3 {
+			case 0:
+				next.SetInterest(i%next.NumUsers(), i%next.NumEvents(), float64(i%7)/7)
+			case 1:
+				next.SetActivity(i%next.NumUsers(), i%next.NumIntervals(), float64(i%5)/5)
+			case 2:
+				next = next.Snapshot()
+			}
+			next.Digest()
+		}
+		wg.Wait()
+		checkFresh(t, next, next.Digest())
 	}
 }

@@ -92,8 +92,7 @@ func sameProblem(t *testing.T, a, b *Instance) {
 // TestSparseDenseContentEqual: both representations of one row stream hold
 // the identical problem, and the sparse digest is deterministic and
 // mutation-sensitive (dense and sparse digests are deliberately distinct —
-// the sparse digest covers nonzero lists in O(nonzeros), the dense stream
-// stays byte-stable for pre-sparse WAL records).
+// a sparse column's hash covers its nonzero lists in O(nonzeros)).
 func TestSparseDenseContentEqual(t *testing.T) {
 	for _, density := range []float64{0, 0.03, 0.3, 1} {
 		dense, sparse := buildPair(t, 7, 9, 4, 5, 40, density)

@@ -36,7 +36,17 @@ import (
 //     — upgrading the binary is the fix, destroying the record is not.
 const (
 	// WALFormatVersion is bumped on breaking changes to the record layout.
-	WALFormatVersion = 1
+	// Every record is written at this version; ReadWALRecord also accepts
+	// the older minWALFormatVersion..WALFormatVersion-1.
+	//
+	// Version 2 changed no field, only the digest scheme put and mutate
+	// records carry: format-1 records hold core.DigestV1 digests, format-2
+	// records hold core's two-level (*Instance).Digest. Replay verifies each
+	// record against the scheme its version names.
+	WALFormatVersion = 2
+
+	// minWALFormatVersion is the oldest record format this build replays.
+	minWALFormatVersion = 1
 
 	// MaxWALRecordBytes bounds one record's payload (1 GiB). A declared
 	// length beyond it is corruption, not a huge record.
@@ -229,7 +239,7 @@ func ReadWALRecord(r io.Reader) (*WALRecord, int64, error) {
 	switch {
 	case rec.Version > WALFormatVersion:
 		return nil, read, fmt.Errorf("%w (record version %d, max %d)", ErrWALTooNew, rec.Version, WALFormatVersion)
-	case rec.Version != WALFormatVersion:
+	case rec.Version < minWALFormatVersion:
 		return nil, read, fmt.Errorf("%w: missing or invalid record version %d", ErrWALCorrupt, rec.Version)
 	}
 	if err := rec.payloadErr(); err != nil {

@@ -123,6 +123,30 @@ func TestWALRecordErrors(t *testing.T) {
 			t.Errorf("got %v, want ErrWALTooNew", err)
 		}
 	})
+	t.Run("format-1 record still reads", func(t *testing.T) {
+		rec := walTestRecords(t)[2]
+		rec.Version = 1
+		var b bytes.Buffer
+		if _, err := WriteWALRecord(&b, rec); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ReadWALRecord(&b)
+		if err != nil || got.Version != 1 {
+			t.Errorf("got %+v, %v; want the format-1 record back", got, err)
+		}
+	})
+	t.Run("version zero", func(t *testing.T) {
+		rec := walTestRecords(t)[3]
+		rec.Version = 0
+		var b bytes.Buffer
+		if _, err := WriteWALRecord(&b, rec); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := ReadWALRecord(&b)
+		if !errors.Is(err, ErrWALCorrupt) {
+			t.Errorf("got %v, want ErrWALCorrupt", err)
+		}
+	})
 	t.Run("kind/payload mismatch", func(t *testing.T) {
 		rec := &WALRecord{Version: WALFormatVersion, Kind: WALKindPut, Delete: &WALDelete{Name: "x"}}
 		var b bytes.Buffer

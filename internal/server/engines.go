@@ -39,6 +39,14 @@ type engineEntry struct {
 // worker goroutines and O(|T|·|U|) precompute, so the cache is bounded like
 // the result cache but must not close an engine somebody is mid-solve on —
 // hence refcounts instead of the result cache's value semantics.
+//
+// Superseded entries. A mutation does not touch the cache: the engine of
+// the version it superseded stays cached as the warm source for the next
+// version. An engine is cached only while its version is live, and caching
+// one drops the newest older entry of its name and options (the source it
+// was built from, or would have been). So per name and options at most one
+// superseded entry is cached, the newest, and none once an engine of the
+// live version is cached. LRU pressure and invalidate may drop it sooner.
 type engineCache struct {
 	workers  int
 	capacity int

@@ -143,7 +143,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("empty mutation: nothing to apply"))
 		return
 	}
-	info, err := s.store.Mutate(name, req)
+	info, err := s.store.mutate(span.FromContext(r.Context()), name, req)
 	if err != nil {
 		writeErr(w, storeErrCode(err), err)
 		return

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/seio"
 )
@@ -162,9 +163,11 @@ func (s *Server) replayRecord(rec *seio.WALRecord) error {
 			return fmt.Errorf("instance %q v%d: %w", p.Name, p.StoreVersion, err)
 		}
 		info, applied := s.store.restorePut(p.Name, inst, p.StoreVersion)
-		if applied && info.Digest != p.Digest {
-			return fmt.Errorf("instance %q v%d: recovered digest %s does not match logged %s",
-				p.Name, p.StoreVersion, info.Digest, p.Digest)
+		if applied {
+			if got := replayDigest(rec.Version, inst, info); got != p.Digest {
+				return fmt.Errorf("instance %q v%d: recovered digest %s does not match logged %s",
+					p.Name, p.StoreVersion, got, p.Digest)
+			}
 		}
 		// Mirror handlePut: a replacing upload invalidated the name's older
 		// cached results before this version's solves were ever logged.
@@ -199,9 +202,11 @@ func (s *Server) replayRecord(rec *seio.WALRecord) error {
 			return fmt.Errorf("instance %q v%d: re-apply mutation: %w", m.Name, m.StoreVersion, err)
 		}
 		info, applied := s.store.restorePut(m.Name, next, m.StoreVersion)
-		if applied && info.Digest != m.Digest {
-			return fmt.Errorf("instance %q v%d: replayed mutation digest %s does not match logged %s",
-				m.Name, m.StoreVersion, info.Digest, m.Digest)
+		if applied {
+			if got := replayDigest(rec.Version, next, info); got != m.Digest {
+				return fmt.Errorf("instance %q v%d: replayed mutation digest %s does not match logged %s",
+					m.Name, m.StoreVersion, got, m.Digest)
+			}
 		}
 		// Mirror the live mutation path: older versions' results leave the
 		// cache (their entries were invalidated before the solve records of
@@ -228,6 +233,18 @@ func (s *Server) replayRecord(rec *seio.WALRecord) error {
 		return fmt.Errorf("unhandled wal record kind %q", rec.Kind)
 	}
 	return nil
+}
+
+// replayDigest returns the digest of a replayed put or mutate record's
+// instance under the scheme the record's format names: format 1 logged
+// core.DigestV1, later formats the store's own digest, which info already
+// carries. The store keeps info's digest either way, so a format-1 record
+// costs one extra full hash and recovered metadata is uniform.
+func replayDigest(format int, inst *core.Instance, info seio.InstanceInfo) string {
+	if format == 1 {
+		return core.DigestV1(inst)
+	}
+	return info.Digest
 }
 
 // compactLoop runs snapshot compactions kicked by walAppend's threshold.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/seio"
 )
 
@@ -389,5 +390,117 @@ func TestBadDataDirFailsConstruction(t *testing.T) {
 	if s, err := New(Config{Workers: 1, Queue: 1, DataDir: file}); err == nil {
 		s.Close()
 		t.Fatal("New accepted a data dir that is a regular file")
+	}
+}
+
+// TestBootFormat1WAL boots on a data directory written by a build whose WAL
+// records were format 1 (testdata/wal-format1: a snapshot holding two dense
+// puts and a sparse put, then a log with a sparse mutation carrying an
+// AddCompeting, a sparse upload, a dense mutation, a delete and a solve).
+// Boot replays every put and mutate record, verifying each against its
+// format-1 (core.DigestV1) digest. The recovered store carries v2 digests,
+// the logged solve is still cached, and new appends are format 2 and replay
+// on top of the old records.
+func TestBootFormat1WAL(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "wal-format1")
+	files, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(src, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The digests the format-1 records logged for the final versions.
+	want := map[string]struct {
+		version  uint64
+		digestV1 string
+	}{
+		"fest":   {4, "2ed5a8ff4acc02442f1c87e78a05ec3fc543a52289792d936f6ea8097a1e423b"},
+		"late":   {1, "b5047884cdaf0c8a191416f300cfc1076ecfa6334ea5abcf8d7f9982c5621ab4"},
+		"meetup": {3, "0cc9bb041aada3361819e8d123ce6534f5d9da4c4321cb81578f4ecbcd621d7d"},
+	}
+	cfg := Config{Workers: 1, Queue: 4, DataDir: dir}
+	s, ts, stop := openDurable(t, cfg)
+	c := ts.Client()
+	list := s.store.List()
+	if len(list) != len(want) {
+		t.Fatalf("recovered %d instances %+v, want %d", len(list), list, len(want))
+	}
+	for _, info := range list {
+		w, ok := want[info.Name]
+		if !ok || info.Version != w.version {
+			t.Fatalf("recovered %s v%d, want %+v", info.Name, info.Version, w)
+		}
+		inst, _, err := s.store.Get(info.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := core.DigestV1(inst); got != w.digestV1 {
+			t.Errorf("%s: v1 digest %s, logged %s", info.Name, got, w.digestV1)
+		}
+		if info.Digest != inst.Digest() || info.Digest == w.digestV1 {
+			t.Errorf("%s: recovered metadata digest %s, want the v2 digest %s", info.Name, info.Digest, inst.Digest())
+		}
+	}
+	if got := s.store.lastVersion("gone"); got != 1 {
+		t.Errorf("deleted name's version sequence %d, want 1", got)
+	}
+	if meetup := list[2]; meetup.Rep != "sparse" || meetup.Competing != 6 {
+		t.Errorf("meetup after its logged AddCompeting: %+v", meetup)
+	}
+	var solved seio.SolveResponse
+	do(t, c, "POST", ts.URL+"/instances/fest/solve", jsonBody(t, seio.SolveRequest{Algorithm: "HOR-I", K: 2}), http.StatusOK, &solved)
+	if !solved.Cached || solved.Instance.Version != 4 {
+		t.Errorf("logged solve not recovered: cached=%v at v%d", solved.Cached, solved.Instance.Version)
+	}
+
+	var patched seio.InstanceInfo
+	do(t, c, "PATCH", ts.URL+"/instances/meetup",
+		jsonBody(t, seio.MutateRequest{Activity: []seio.CellUpdate{{User: 2, Index: 1, Value: 0.5}}}), http.StatusOK, &patched)
+	stop()
+
+	var versions []int
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs)
+	var last *seio.WALRecord
+	for _, seg := range segs {
+		f, err := os.Open(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			rec, _, err := seio.ReadWALRecord(f)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", seg, err)
+			}
+			versions = append(versions, rec.Version)
+			last = rec
+		}
+		f.Close()
+	}
+	if last == nil || last.Kind != seio.WALKindMutate || last.Version != seio.WALFormatVersion || last.Mutate.Digest != patched.Digest {
+		t.Fatalf("last appended record %+v, want a format-%d mutate with digest %s (record formats %v)",
+			last, seio.WALFormatVersion, patched.Digest, versions)
+	}
+
+	// Mixed format-1 and format-2 records replay together.
+	s2, _, stop2 := openDurable(t, cfg)
+	defer stop2()
+	if _, info, err := s2.store.Get("meetup"); err != nil || info != patched {
+		t.Fatalf("after reboot meetup is %+v (%v), want %+v", info, err, patched)
 	}
 }

@@ -59,7 +59,7 @@ func (s *Server) handleMutateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	merged := req.Merge()
-	info, err := s.store.Mutate(name, merged)
+	info, err := s.store.mutate(span.FromContext(r.Context()), name, merged)
 	if err != nil {
 		writeErr(w, storeErrCode(err), err)
 		return

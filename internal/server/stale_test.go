@@ -415,7 +415,10 @@ func TestReorderedMutationHooksStayWarm(t *testing.T) {
 }
 
 // End-to-end PATCH vs solve race through the HTTP API: whatever interleaving
-// happens, the result cache must never end up holding a dead version.
+// happens, the result cache must never end up holding a dead version, and
+// the engine cache keeps to its superseded-entry rule (see engineCache): at
+// most the newest superseded engine per name and options stays cached, as
+// the warm source, until an engine of the live version is cached.
 func TestConcurrentMutateAndSolve(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 3, Queue: 64})
 	c := ts.Client()
@@ -459,12 +462,32 @@ func TestConcurrentMutateAndSolve(t *testing.T) {
 		}
 	}
 	srv.cache.mu.Unlock()
-	srv.engines.mu.Lock()
-	for key := range srv.engines.m {
-		if key.version != info.Version {
-			srv.engines.mu.Unlock()
-			t.Fatalf("engine cache holds dead version %d (live %d)", key.version, info.Version)
+	// superseded lists the cached engines of versions older than the live
+	// one, per option fingerprint.
+	superseded := func() map[uint64][]uint64 {
+		srv.engines.mu.Lock()
+		defer srv.engines.mu.Unlock()
+		out := make(map[uint64][]uint64)
+		for key := range srv.engines.m {
+			if key.version > info.Version {
+				t.Fatalf("engine cache holds version %d past the live %d", key.version, info.Version)
+			}
+			if key.version < info.Version {
+				out[key.opts] = append(out[key.opts], key.version)
+			}
+		}
+		return out
+	}
+	for opts, vs := range superseded() {
+		if len(vs) > 1 {
+			t.Fatalf("engine cache holds superseded versions %v for opts %x (live %d); at most one may stay as the warm source", vs, opts, info.Version)
 		}
 	}
-	srv.engines.mu.Unlock()
+	// A solve of the live version (k=5 misses the result cache) caches its
+	// engine, which drops the superseded warm source.
+	do(t, c, "POST", ts.URL+"/instances/fest/solve",
+		jsonBody(t, seio.SolveRequest{Algorithm: "HOR-I", K: 5}), http.StatusOK, nil)
+	if left := superseded(); len(left) > 0 {
+		t.Fatalf("engine cache still holds superseded versions %v after a solve of live version %d", left, info.Version)
+	}
 }

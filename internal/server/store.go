@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/metrics/span"
 	"repro/internal/seio"
 )
 
@@ -71,10 +72,11 @@ type Store struct {
 	lastVer map[string]uint64
 	// writeLocks serializes the mutation pipeline (snapshot, apply, digest,
 	// log, publish) per instance name, so concurrent writers of one name
-	// cannot lose updates while a slow O(matrix) digest of one instance
-	// never stalls writes to others. Entries are reference-counted and
-	// removed once the last holder of a deleted name lets go; only lastVer
-	// (8 bytes per name ever used) persists across Delete.
+	// cannot lose updates while one instance's O(matrix) upload digest and
+	// WAL encode never stall writes to others. Entries are
+	// reference-counted and removed once the last holder of a deleted name
+	// lets go; only lastVer (8 bytes per name ever used) persists across
+	// Delete.
 	writeLocks map[string]*nameLock
 
 	// wal, when set, receives one record per mutation before it publishes.
@@ -200,7 +202,10 @@ func (st *Store) Put(name string, inst *core.Instance) (seio.InstanceInfo, bool,
 	defer st.unlockName(name, l)
 	// Snapshot detaches the stored matrices from the caller's instance, so
 	// a caller mutating its upload afterwards cannot corrupt the store.
-	// Digest is O(matrix) and runs before mu so readers never wait on it.
+	// An upload's first Digest hashes every column (O(matrix)); it runs
+	// before mu so readers never wait on it. The column hashes it caches
+	// are shared with every later version, which re-hash only the columns
+	// their mutations copy.
 	snap := inst.Snapshot()
 	digest := snap.Digest()
 	st.mu.RLock()
@@ -248,10 +253,21 @@ func (st *Store) Get(name string) (*core.Instance, seio.InstanceInfo, error) {
 // Mutate applies the batch to a copy-on-write successor of the named
 // instance and publishes it as the next version. In-flight readers keep
 // their snapshot; if validation (or the WAL) fails nothing is published. The
-// apply and digest run outside mu, so readers of any instance are never
-// blocked by a slow mutation. The WAL records the request itself — the
-// delta, not the matrices — and replay re-applies it, verifying the digest.
+// WAL records the request itself — the delta, not the matrices — and replay
+// re-applies it, verifying the digest.
+//
+// A mutation costs O(delta), not O(instance): the successor copies only the
+// columns the batch writes, and its Digest re-hashes only those columns
+// (plus 32 bytes per column), reusing every other column's cached hash.
+// Apply and digest run outside mu, so readers of any instance are never
+// blocked by a mutation.
 func (st *Store) Mutate(name string, req seio.MutateRequest) (seio.InstanceInfo, error) {
+	return st.mutate(nil, name, req)
+}
+
+// mutate is Mutate with its stages — apply, digest, wal_append, publish —
+// recorded as child spans of tr (nil records nothing).
+func (st *Store) mutate(tr *span.Trace, name string, req seio.MutateRequest) (seio.InstanceInfo, error) {
 	l := st.lockName(name)
 	defer st.unlockName(name, l)
 	st.mu.RLock()
@@ -260,14 +276,21 @@ func (st *Store) Mutate(name string, req seio.MutateRequest) (seio.InstanceInfo,
 	if !ok {
 		return seio.InstanceInfo{}, ErrNotFound
 	}
+	sp := tr.Start("apply")
 	next := v.inst.Snapshot()
-	if err := applyMutation(next, req); err != nil {
+	err := applyMutation(next, req)
+	sp.End()
+	if err != nil {
 		return seio.InstanceInfo{}, err
 	}
-	nv := &versioned{inst: next, info: makeInfo(name, v.info.Version+1, next.Digest(), next)}
+	sp = tr.Start("digest")
+	digest := next.Digest()
+	sp.End()
+	nv := &versioned{inst: next, info: makeInfo(name, v.info.Version+1, digest, next)}
 	st.pubMu.RLock()
 	defer st.pubMu.RUnlock()
-	if err := st.logWAL(&seio.WALRecord{
+	sp = tr.Start("wal_append")
+	err = st.logWAL(&seio.WALRecord{
 		Version: seio.WALFormatVersion,
 		Kind:    seio.WALKindMutate,
 		Mutate: &seio.WALMutate{
@@ -276,10 +299,14 @@ func (st *Store) Mutate(name string, req seio.MutateRequest) (seio.InstanceInfo,
 			Digest:       nv.info.Digest,
 			Request:      req,
 		},
-	}); err != nil {
+	})
+	sp.End()
+	if err != nil {
 		return seio.InstanceInfo{}, err
 	}
+	sp = tr.Start("publish")
 	st.publish(name, nv)
+	sp.End()
 	return nv.info, nil
 }
 
@@ -386,7 +413,8 @@ func (st *Store) Len() int {
 
 // restorePut installs an instance at an explicit version, skipping records
 // the version sequence has already absorbed. It reports whether it applied,
-// with the computed metadata for digest verification.
+// with the computed metadata for digest verification. The metadata always
+// carries the current (v2) digest, whatever scheme the replayed record used.
 func (st *Store) restorePut(name string, inst *core.Instance, ver uint64) (seio.InstanceInfo, bool) {
 	digest := inst.Digest()
 	st.mu.Lock()

@@ -122,6 +122,47 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPatchTraceStages checks the PATCH route's span tree: apply, digest,
+// wal_append and publish, in that order under the root, with durations
+// bounded by the root's.
+func TestPatchTraceStages(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Queue: 4})
+	c := ts.Client()
+	do(t, c, "PUT", ts.URL+"/instances/tr", testInstanceJSON(t, 4, 40, 3), http.StatusCreated, nil)
+	header, traceID := span.MintTraceparent()
+	req, err := http.NewRequest(http.MethodPatch, ts.URL+"/instances/tr",
+		bytes.NewReader(jsonBody(t, seio.MutateRequest{Interest: []seio.CellUpdate{{User: 1, Index: 2, Value: 0.5}}})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("traceparent", header)
+	resp, err := c.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PATCH status %d", resp.StatusCode)
+	}
+	var td span.TraceData
+	do(t, c, "GET", ts.URL+"/debug/traces/"+traceID, nil, http.StatusOK, &td)
+	if td.Route != "mutate_instance" {
+		t.Errorf("trace route %q, want mutate_instance", td.Route)
+	}
+	var names []string
+	childSum := 0.0
+	for _, ch := range td.Root.Children {
+		names = append(names, ch.Name)
+		childSum += ch.DurationMS
+	}
+	if want := []string{"apply", "digest", "wal_append", "publish"}; strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Errorf("PATCH spans %v, want %v", names, want)
+	}
+	if childSum > td.DurationMS {
+		t.Errorf("child spans sum to %.3fms > root %.3fms", childSum, td.DurationMS)
+	}
+}
+
 // TestTracesListing exercises the /debug/traces filters and error paths.
 func TestTracesListing(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Queue: 8})

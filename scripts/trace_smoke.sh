@@ -4,7 +4,8 @@
 # tracing story end to end: a caller-minted traceparent is adopted and
 # echoed, the stored solve trace exposes the queue / engine_acquire / score /
 # select / encode span tree with child durations bounded by the root, the
-# engine_acquire span is annotated cold or warm, slow traces tail-sample into
+# engine_acquire span is annotated cold or warm, a PATCH trace exposes the
+# apply / digest / wal_append / publish spans, slow traces tail-sample into
 # the structured log, and the runtime/metrics families render in the scrape.
 # Run by CI; runnable locally: ./scripts/trace_smoke.sh
 set -euo pipefail
@@ -92,6 +93,30 @@ jq -e '([.root.children[].duration_ms] | add) <= .duration_ms' \
 jq -e '.root.children[] | select(.name == "engine_acquire")
        | .attrs.engine == "cold" or .attrs.engine == "warm"' \
   "$WORK/trace.json" >/dev/null
+
+echo "== the stored PATCH trace exposes the mutation spans =="
+TP2="00-1bf8762027de54ee9559fc322d1e0d20-c8be8a8ec0b7b7d2-01"
+TID2="1bf8762027de54ee9559fc322d1e0d20"
+curl -sf -H "traceparent: $TP2" -X PATCH \
+  -d '{"interest":[{"user":0,"index":0,"value":0.5}]}' \
+  "$BASE/instances/sesload" > /dev/null
+curl -sf "$BASE/debug/traces/$TID2" > "$WORK/patch_trace.json"
+jq -e '.route == "mutate_instance"' "$WORK/patch_trace.json" >/dev/null
+for span in apply digest wal_append publish; do
+  jq -e --arg s "$span" '[.root.children[].name] | index($s) != null' \
+    "$WORK/patch_trace.json" >/dev/null || {
+    echo "span $span missing from the stored PATCH trace:" >&2
+    jq '[.root.children[].name]' "$WORK/patch_trace.json" >&2
+    exit 1
+  }
+done
+jq -e '([.root.children[].duration_ms] | add) <= .duration_ms' \
+  "$WORK/patch_trace.json" >/dev/null || {
+  echo "PATCH child spans exceed the root duration:" >&2
+  jq '{root: .duration_ms, children: [.root.children[] | {name, duration_ms}]}' \
+    "$WORK/patch_trace.json" >&2
+  exit 1
+}
 
 echo "== the listing filters by route =="
 curl -sf "$BASE/debug/traces?route=solve&limit=5" > "$WORK/list.json"

@@ -163,7 +163,9 @@ func RunningExample() *Instance { return core.RunningExample() }
 // Digest returns inst.Digest(): the SHA-256 content digest of the instance
 // (parameters, metadata and both matrices). Equal digests mean equal
 // problems, which is how the sesd service deduplicates uploads and keys its
-// solver result cache.
+// solver result cache. The digest hashes the metadata and one cached
+// SHA-256 per matrix column, so after a mutation it re-hashes only the
+// columns written since the last call.
 func Digest(inst *Instance) string { return inst.Digest() }
 
 // Serialization, re-exported from the wire-format engine so library users
